@@ -36,7 +36,6 @@ from .closed_forms import (
 from .cycles import (
     CycleRecipe,
     DifferenceFactor,
-    FixedSquareFactor,
     MixedDegrees,
     NotFixedPoint,
     OrbitAverageFactor,

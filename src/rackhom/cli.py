@@ -42,6 +42,15 @@ class ValidationError(ValueError):
     """The described rack fails the axioms or preconditions of the command."""
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: true and false are ints to Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 @dataclass
 class RackDescription:
     """Parsed input document: either an explicit table or a permutation
@@ -61,14 +70,7 @@ class RackDescription:
             if set(doc) != {"kind", "table"}:
                 raise ParseError('table kind takes exactly the fields "kind" and "table"')
             table = doc["table"]
-            if (
-                not isinstance(table, list)
-                or not table
-                or not all(
-                    isinstance(row, list) and all(isinstance(v, int) for v in row)
-                    for row in table
-                )
-            ):
+            if not isinstance(table, list) or not table or not all(map(_is_int_list, table)):
                 raise ParseError('"table" must be a nonempty list of integer lists')
             return cls(kind="table", table=table)
         if kind == "permutation":
@@ -78,14 +80,11 @@ class RackDescription:
                 )
             cycles = doc["cycles"]
             if not isinstance(cycles, list) or not all(
-                isinstance(cycle, list)
-                and cycle
-                and all(isinstance(v, int) for v in cycle)
-                for cycle in cycles
+                _is_int_list(cycle) and cycle for cycle in cycles
             ):
                 raise ParseError('"cycles" must be a list of nonempty integer lists')
             free = doc.get("free_orbits", 0)
-            if not isinstance(free, int) or free < 0:
+            if not _is_int(free) or free < 0:
                 raise ParseError('"free_orbits" must be a nonnegative integer')
             seen = [v for cycle in cycles for v in cycle]
             if sorted(seen) != list(range(len(seen))):
@@ -110,13 +109,9 @@ class RackDescription:
             return validate_rack(self.table)
         if self.free_orbits > 0:
             raise InfiniteOrbits("free orbits admit no finite realization")
-        n = sum(len(cycle) for cycle in self.cycles)
-        phi = [0] * n
-        for cycle in self.cycles:
-            for i, v in enumerate(cycle):
-                phi[v] = cycle[(i + 1) % len(cycle)]
-        row = tuple(phi)
-        return FiniteRack(tuple(row for _ in range(n)))
+        successor = {v: c[(i + 1) % len(c)] for c in self.cycles for i, v in enumerate(c)}
+        row = tuple(successor[v] for v in range(len(successor)))
+        return FiniteRack((row,) * len(row))
 
     def spec(self) -> PermutationSpec:
         """Orbit data; closed-form commands come through here."""
@@ -174,31 +169,29 @@ def _error_name(exc: Exception) -> str | None:
     return None
 
 
-@dataclass
-class Row:
-    degree: int
-    free_rank: int | None = None
-    torsion: tuple[int, ...] | None = None
-    closed_form: int | None = None
-    e2_total: int | None = None
-    bn_size: int | None = None
-    certificate_rank: int | None = None
-    independent: bool | None = None
-    recipes: list[str] | None = None
+# Row keys in JSON order with their csv and table headers; None: JSON only.
+COLUMNS: tuple[tuple[str, str | None, str | None], ...] = (
+    ("degree", "degree", "degree"),
+    ("free_rank", "free_rank", "free_rank"),
+    ("torsion", "torsion", "torsion"),
+    ("closed_form", "closed_form_rank", "closed_form"),
+    ("e2_total", "e2_total", "e2_total"),
+    ("bn_size", "bn_size", "bn_size"),
+    ("certificate_rank", None, None),
+    ("independent", None, None),
+    ("recipes", None, None),
+)
+_TABULAR = [column for column in COLUMNS if column[1] is not None]
 
 
 @dataclass
 class Report:
     description: RackDescription
-    rows: list[Row]
+    rows: list[dict[str, Any]]  # one per degree, keyed by COLUMNS
     status: str = "ok"
     series: list[int] | None = None
-    e2_page: list[tuple[int, int, int]] | None = None  # (p, q, rank)
+    e2_page: list[dict[str, int]] | None = None  # cells {"p", "q", "rank"}
     summary: dict[str, Any] | None = None  # validate command only
-
-
-def _e2_total(spec: PermutationSpec, n: int) -> int:
-    return sum(e2_rank(spec, p, n - p) for p in range(n + 1))
 
 
 def run_validate(description: RackDescription, args: argparse.Namespace) -> Report:
@@ -226,91 +219,101 @@ def run_validate(description: RackDescription, args: argparse.Namespace) -> Repo
     return Report(description, rows=[], summary=summary)
 
 
-def run_homology(description: RackDescription, args: argparse.Namespace) -> Report:
-    rack = description.finite_rack()
+def _homology_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str, Any]]:
     groups = homology_table(rack, args.max_degree, args.basis_cap)
-    rows = [
-        Row(degree=n, free_rank=group.free_rank, torsion=group.torsion)
-        for n, group in enumerate(groups)
-    ]
-    return Report(description, rows)
+    return [{"free_rank": group.free_rank, "torsion": group.torsion} for group in groups]
 
 
-def run_betti(description: RackDescription, args: argparse.Namespace) -> Report:
-    spec = description.spec()
-    rows = [
-        Row(degree=n, closed_form=betti(spec, n)) for n in range(args.max_degree + 1)
-    ]
-    series = list(poincare_series(spec, args.terms).coefficients)
-    series += [0] * (args.terms - len(series))
-    return Report(description, rows, series=series)
+def _betti_columns(spec: PermutationSpec, args: argparse.Namespace) -> list[dict[str, Any]]:
+    return [{"closed_form": betti(spec, n)} for n in range(args.max_degree + 1)]
 
 
-def run_e2(description: RackDescription, args: argparse.Namespace) -> Report:
-    spec = description.spec()
-    rows = [
-        Row(degree=n, e2_total=_e2_total(spec, n)) for n in range(args.max_degree + 1)
-    ]
+def _e2_columns(
+    spec: PermutationSpec, args: argparse.Namespace
+) -> tuple[list[dict[str, Any]], list[dict[str, int]]]:
+    """Antidiagonal totals of the E^2 page, and the page itself."""
     page = [
-        (p, q, e2_rank(spec, p, q))
+        {"p": p, "q": q, "rank": e2_rank(spec, p, q)}
         for q in range(args.max_degree + 1)
         for p in range(args.max_degree + 1 - q)
     ]
-    return Report(description, rows, e2_page=page)
+    totals = [0] * (args.max_degree + 1)
+    for cell in page:
+        totals[cell["p"] + cell["q"]] += cell["rank"]
+    return [{"e2_total": total} for total in totals], page
 
 
-def run_cycles(description: RackDescription, args: argparse.Namespace) -> Report:
-    rack = description.finite_rack()
-    rows = []
+def _cycle_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str, Any]]:
+    columns = []
     for n in range(args.max_degree + 1):
         recipes = basis_recipes(rack, n, args.basis_cap)
         rank, independent = independence_certificate(
             rack, [recipe.evaluate() for recipe in recipes]
         )
-        rows.append(
-            Row(
-                degree=n,
-                bn_size=len(recipes),
-                certificate_rank=rank,
-                independent=independent,
-                recipes=[recipe.describe() for recipe in recipes],
-            )
+        columns.append(
+            {
+                "bn_size": len(recipes),
+                "certificate_rank": rank,
+                "independent": independent,
+                "recipes": [recipe.describe() for recipe in recipes],
+            }
         )
-    return Report(description, rows)
+    return columns
+
+
+def _rows(*producers: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Merge column producers, each a list of one dict of columns per degree
+    0..max_degree, degree by degree.  Rank columns that no producer gives
+    are None, which JSON writes as null; other columns are left out."""
+    rows = []
+    for n, parts in enumerate(zip(*producers)):
+        row = dict(degree=n, free_rank=None, torsion=None, closed_form=None, e2_total=None)
+        for part in parts:
+            row.update(part)
+        rows.append(row)
+    return rows
+
+
+def run_homology(description: RackDescription, args: argparse.Namespace) -> Report:
+    return Report(description, _rows(_homology_columns(description.finite_rack(), args)))
+
+
+def run_betti(description: RackDescription, args: argparse.Namespace) -> Report:
+    spec = description.spec()
+    rows = _rows(_betti_columns(spec, args))
+    poly = poincare_series(spec, args.terms)
+    series = [poly.coefficient(k) for k in range(args.terms)]
+    return Report(description, rows, series=series)
+
+
+def run_e2(description: RackDescription, args: argparse.Namespace) -> Report:
+    totals, page = _e2_columns(description.spec(), args)
+    return Report(description, _rows(totals), e2_page=page)
+
+
+def run_cycles(description: RackDescription, args: argparse.Namespace) -> Report:
+    return Report(description, _rows(_cycle_columns(description.finite_rack(), args)))
 
 
 def run_verify(description: RackDescription, args: argparse.Namespace) -> Report:
+    """Every column at once; ok when the five ranks agree, the certificate
+    is independent and there is no torsion."""
     rack = description.finite_rack()
-    spec = description.spec()
-    groups = homology_table(rack, args.max_degree, args.basis_cap)
-    rows = []
-    all_match = True
-    for n, group in enumerate(groups):
-        closed = betti(spec, n)
-        e2_total = _e2_total(spec, n)
-        recipes = basis_recipes(rack, n, args.basis_cap)
-        rank, independent = independence_certificate(
-            rack, [recipe.evaluate() for recipe in recipes]
-        )
-        match = (
-            group.free_rank == closed == e2_total == len(recipes) == rank
-            and independent
-            and not group.torsion
-        )
-        all_match = all_match and match
-        rows.append(
-            Row(
-                degree=n,
-                free_rank=group.free_rank,
-                torsion=group.torsion,
-                closed_form=closed,
-                e2_total=e2_total,
-                bn_size=len(recipes),
-                certificate_rank=rank,
-                independent=independent,
-            )
-        )
-    return Report(description, rows, status="ok" if all_match else "mismatch")
+    spec = PermutationSpec.from_rack(rack)  # so a table is validated once
+    rows = _rows(
+        _homology_columns(rack, args),
+        _betti_columns(spec, args),
+        _e2_columns(spec, args)[0],
+        _cycle_columns(rack, args),
+    )
+    for row in rows:
+        del row["recipes"]
+    ranks = ("free_rank", "closed_form", "e2_total", "bn_size", "certificate_rank")
+    match = all(
+        len({row[key] for key in ranks}) == 1 and row["independent"] and not row["torsion"]
+        for row in rows
+    )
+    return Report(description, rows, status="ok" if match else "mismatch")
 
 
 _RUNNERS = {
@@ -323,23 +326,16 @@ _RUNNERS = {
 }
 
 
+def _cell(key: str, value: Any, missing: str, no_torsion: str) -> str:
+    if value is None:
+        return missing
+    if key == "torsion":
+        return ";".join(map(str, value)) or no_torsion
+    return str(value)
+
+
 def emit_json(report: Report) -> str:
-    results = []
-    for row in report.rows:
-        item: dict[str, Any] = {
-            "degree": row.degree,
-            "free_rank": row.free_rank,
-            "torsion": list(row.torsion) if row.torsion is not None else None,
-            "closed_form": row.closed_form,
-            "e2_total": row.e2_total,
-        }
-        if row.bn_size is not None:
-            item["bn_size"] = row.bn_size
-            item["certificate_rank"] = row.certificate_rank
-            item["independent"] = row.independent
-        if row.recipes is not None:
-            item["recipes"] = row.recipes
-        results.append(item)
+    results = [{key: row[key] for key, _, _ in COLUMNS if key in row} for row in report.rows]
     document: dict[str, Any] = {
         "rack": report.description.canonical(),
         "results": results,
@@ -350,9 +346,7 @@ def emit_json(report: Report) -> str:
     if report.series is not None:
         document["poincare_series"] = report.series
     if report.e2_page is not None:
-        document["e2_page"] = [
-            {"p": p, "q": q, "rank": rank} for p, q, rank in report.e2_page
-        ]
+        document["e2_page"] = report.e2_page
     return json.dumps(document, indent=2)
 
 
@@ -364,60 +358,33 @@ def emit_csv(report: Report) -> str:
         for key, value in report.summary.items():
             writer.writerow([key, json.dumps(value) if isinstance(value, list) else value])
         return buffer.getvalue()
-    writer.writerow(
-        ["degree", "free_rank", "torsion", "closed_form_rank", "e2_total", "bn_size"]
-    )
+    writer.writerow([header for _, header, _ in _TABULAR])
     for row in report.rows:
-        writer.writerow(
-            [
-                row.degree,
-                "" if row.free_rank is None else row.free_rank,
-                "" if row.torsion is None else ";".join(map(str, row.torsion)),
-                "" if row.closed_form is None else row.closed_form,
-                "" if row.e2_total is None else row.e2_total,
-                "" if row.bn_size is None else row.bn_size,
-            ]
-        )
+        writer.writerow([_cell(key, row.get(key), "", "") for key, _, _ in _TABULAR])
     return buffer.getvalue()
 
 
 def emit_table(report: Report) -> str:
-    lines = []
-    if report.summary is not None:
-        for key, value in report.summary.items():
-            lines.append(f"{key}: {value}")
-        lines.append(f"status: {report.status}")
-        return "\n".join(lines) + "\n"
-    header = ("degree", "free_rank", "torsion", "closed_form", "e2_total", "bn_size")
-    widths = [len(h) for h in header]
-    table_rows = []
+    lines = [f"{key}: {value}" for key, value in (report.summary or {}).items()]
+    if report.summary is None:
+        header = [header for _, _, header in _TABULAR]
+        table_rows = [
+            [_cell(key, row.get(key), "-", "none") for key, _, _ in _TABULAR]
+            for row in report.rows
+        ]
+        widths = [max(map(len, column)) for column in zip(header, *table_rows)]
+        for cells in [header, *table_rows]:
+            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     for row in report.rows:
-        cells = (
-            str(row.degree),
-            "-" if row.free_rank is None else str(row.free_rank),
-            "-"
-            if row.torsion is None
-            else (";".join(map(str, row.torsion)) or "none"),
-            "-" if row.closed_form is None else str(row.closed_form),
-            "-" if row.e2_total is None else str(row.e2_total),
-            "-" if row.bn_size is None else str(row.bn_size),
-        )
-        widths = [max(w, len(c)) for w, c in zip(widths, cells)]
-        table_rows.append(cells)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for cells in table_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    for row in report.rows:
-        if row.recipes is not None:
-            joined = ", ".join(row.recipes)
-            lines.append(f"B_{row.degree}: {joined}")
+        if "recipes" in row:
+            lines.append(f"B_{row['degree']}: " + ", ".join(row["recipes"]))
     if report.series is not None:
         lines.append("poincare_series: " + ", ".join(map(str, report.series)))
     if report.e2_page is not None:
         lines.append("e2_page (p, q, rank):")
-        for p, q, rank in report.e2_page:
-            if rank:
-                lines.append(f"  ({p}, {q}): {rank}")
+        for cell in report.e2_page:
+            if cell["rank"]:
+                lines.append(f"  ({cell['p']}, {cell['q']}): {cell['rank']}")
     lines.append(f"status: {report.status}")
     return "\n".join(lines) + "\n"
 

@@ -9,7 +9,6 @@ series (1+T) / (1 - (r-1)T - r_fin*T^2) it telescopes to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .racks import EmptySpec, PermutationSpec
@@ -179,25 +178,19 @@ def e2_rank(spec: PermutationSpec, p: int, q: int) -> int:
     return poly.coefficient(p)
 
 
-@lru_cache(maxsize=None)
-def _betti_row(r: int, r_fin: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if n == 1:
-        return r
-    beta_prev, beta = 1, r
-    for _ in range(n - 1):
-        beta_prev, beta = beta, (r - 1) * beta + r_fin * beta_prev
-    return beta
-
-
 def betti(spec: PermutationSpec, n: int) -> int:
     """Free rank of HR_n by the recursion
     b0 = 1, b1 = r, b_{n+2} = (r-1) b_{n+1} + r_fin b_n."""
     _require_orbits(spec)
     if n < 0:
         raise ValueError("negative degree")
-    return _betti_row(spec.r, spec.r_fin, n)
+    if n == 0:
+        return 1
+    r, r_fin = spec.r, spec.r_fin
+    beta_prev, beta = 1, r
+    for _ in range(n - 1):
+        beta_prev, beta = beta, (r - 1) * beta + r_fin * beta_prev
+    return beta
 
 
 def poincare_series(spec: PermutationSpec, terms: int) -> IntPolynomial:

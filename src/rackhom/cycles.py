@@ -46,19 +46,6 @@ class DifferenceFactor:
 
 
 @dataclass(frozen=True)
-class FixedSquareFactor:
-    """Left multiplication by t·t for a fixed point t; raises degree by two."""
-
-    t: int
-
-    def apply(self, rack: FiniteRack, c: Chain) -> Chain:
-        return fixed_point_square(rack, self.t, c)
-
-    def describe(self) -> str:
-        return f"{self.t}^2"
-
-
-@dataclass(frozen=True)
 class OrbitAverageFactor:
     """The map c -> t·sum of φ^i(t·c) over t's orbit of size d; degree +2."""
 
@@ -87,7 +74,7 @@ class TerminalFactor:
         return f"({self.x})"
 
 
-Factor = Union[DifferenceFactor, FixedSquareFactor, OrbitAverageFactor, TerminalFactor]
+Factor = Union[DifferenceFactor, OrbitAverageFactor, TerminalFactor]
 
 
 @dataclass(frozen=True)
@@ -108,7 +95,7 @@ class CycleRecipe:
     def degree(self) -> int:
         total = 0
         for factor in self.factors:
-            total += 2 if isinstance(factor, (FixedSquareFactor, OrbitAverageFactor)) else 1
+            total += 2 if isinstance(factor, OrbitAverageFactor) else 1
         return total
 
     def evaluate(self) -> Chain:

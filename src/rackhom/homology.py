@@ -9,7 +9,6 @@ constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .chains import DEFAULT_BASIS_CAP, Chain, apply_boundary, boundary_matrix, _rank_of
 from .linalg import SparseIntMatrix, rational_rank, smith_normal_form
@@ -36,7 +35,6 @@ class HomologyGroup:
                 raise ValueError("torsion must be a divisibility chain of ints > 1")
 
 
-@lru_cache(maxsize=None)
 def _boundary_smith(rack: FiniteRack, n: int, cap: int) -> tuple[int, tuple[int, ...]]:
     """(rank, divisors) of d_n; d_0 and d_1 are zero by convention."""
     if n <= 1:
@@ -59,8 +57,16 @@ def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> Hom
 def homology_table(
     rack: FiniteRack, max_degree: int, cap: int = DEFAULT_BASIS_CAP
 ) -> list[HomologyGroup]:
-    """HR_0 .. HR_max_degree; each boundary Smith form is computed once."""
-    return [rack_homology(rack, n, cap) for n in range(max_degree + 1)]
+    """HR_0 .. HR_max_degree; reduces each of d_1 .. d_{max_degree+1} once
+    per call and keeps nothing between calls."""
+    groups = []
+    rank_here = 0  # d_0
+    for n in range(max_degree + 1):
+        rank_next, divisors = _boundary_smith(rack, n + 1, cap)
+        torsion = tuple(d for d in divisors if d > 1)
+        groups.append(HomologyGroup(rack.size ** n - rank_here - rank_next, torsion))
+        rank_here = rank_next
+    return groups
 
 
 def is_cycle(rack: FiniteRack, c: Chain) -> bool:

@@ -68,6 +68,10 @@ class TestParsing:
             {"kind": "permutation", "cycles": [[]]},
             {"kind": "permutation", "cycles": [], "free_orbits": 0},
             {"kind": "permutation", "cycles": [[0]], "free_orbits": -1},
+            {"kind": "table", "table": [[False]]},
+            {"kind": "permutation", "cycles": [[0, True]]},
+            {"kind": "permutation", "cycles": [[False]]},
+            {"kind": "permutation", "cycles": [[0]], "free_orbits": True},
             [],
         ],
     )

@@ -11,7 +11,6 @@ from rackhom.closed_forms import betti
 from rackhom.cycles import (
     CycleRecipe,
     DifferenceFactor,
-    FixedSquareFactor,
     MixedDegrees,
     NotFixedPoint,
     OrbitAverageFactor,
@@ -149,9 +148,9 @@ class TestCycleRecipe:
     def test_describe(self):
         assert CycleRecipe(RACK_01_2).describe() == "1"
         recipe = CycleRecipe(
-            RACK_01_2, (DifferenceFactor(2, 0), FixedSquareFactor(2), TerminalFactor(0))
+            RACK_01_2, (DifferenceFactor(2, 0), OrbitAverageFactor(2, 1), TerminalFactor(0))
         )
-        assert recipe.describe() == "(2-0)·2^2·(0)"
+        assert recipe.describe() == "(2-0)·avg(2)·(0)"
 
     def test_empty_recipe_evaluates_to_unit(self):
         assert CycleRecipe(RACK_01_2).evaluate() == Chain.monomial(())

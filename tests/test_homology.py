@@ -2,6 +2,7 @@
 
 import pytest
 
+import rackhom.homology
 from corpus import permutation_racks
 from rackhom.chains import Chain, DegreeTooLarge, boundary_matrix
 from rackhom.homology import (
@@ -66,6 +67,21 @@ class TestHomologyTable:
     def test_one_fixed_point(self):
         rack = permutation_rack(PermutationSpec((1,)))
         assert [g.free_rank for g in homology_table(rack, 2)] == [1, 1, 1]
+
+    def test_reduces_each_boundary_once_per_call(self, monkeypatch):
+        reduced = []
+        smith = rackhom.homology.smith_normal_form
+
+        def counting_smith(matrix, *args, **kwargs):
+            reduced.append(matrix.col_count)
+            return smith(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(rackhom.homology, "smith_normal_form", counting_smith)
+        rack = dihedral_rack(3)
+        homology_table(rack, 3)
+        assert reduced == [9, 27, 81]  # d_2, d_3, d_4
+        homology_table(rack, 3)
+        assert reduced == [9, 27, 81] * 2
 
     def test_permutation_racks_are_free_of_rank_r_to_n(self):
         for rack in permutation_racks(4):
