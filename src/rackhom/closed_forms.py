@@ -9,7 +9,8 @@ series (1+T) / (1 - (r-1)T - r_fin*T^2) it telescopes to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .racks import EmptySpec, PermutationSpec
 
@@ -178,19 +179,30 @@ def e2_rank(spec: PermutationSpec, p: int, q: int) -> int:
     return poly.coefficient(p)
 
 
+def _betti_recursion(spec: PermutationSpec) -> Iterator[int]:
+    """b0, b1, b2, ... by b0 = 1, b1 = r, b_{n+2} = (r-1) b_{n+1} + r_fin b_n."""
+    r, r_fin = spec.r, spec.r_fin
+    beta, beta_next = 1, r
+    while True:
+        yield beta
+        beta, beta_next = beta_next, (r - 1) * beta_next + r_fin * beta
+
+
 def betti(spec: PermutationSpec, n: int) -> int:
     """Free rank of HR_n by the recursion
     b0 = 1, b1 = r, b_{n+2} = (r-1) b_{n+1} + r_fin b_n."""
     _require_orbits(spec)
     if n < 0:
         raise ValueError("negative degree")
-    if n == 0:
-        return 1
-    r, r_fin = spec.r, spec.r_fin
-    beta_prev, beta = 1, r
-    for _ in range(n - 1):
-        beta_prev, beta = beta, (r - 1) * beta + r_fin * beta_prev
-    return beta
+    return next(islice(_betti_recursion(spec), n, None))
+
+
+def betti_numbers(spec: PermutationSpec, max_degree: int) -> list[int]:
+    """[betti(spec, n) for n in 0..max_degree] in one pass of the recursion."""
+    _require_orbits(spec)
+    if max_degree < 0:
+        raise ValueError("negative degree")
+    return list(islice(_betti_recursion(spec), max_degree + 1))
 
 
 def poincare_series(spec: PermutationSpec, terms: int) -> IntPolynomial:

@@ -4,6 +4,14 @@ All arithmetic uses Python's arbitrary-precision ints: coefficient growth
 during elimination is unbounded and must never wrap.  The two rank routines
 (`smith_normal_form` and `rational_rank`) are deliberately independent
 implementations so each can serve as an oracle for the other.
+
+Without transforms, `smith_normal_form` runs in two phases: a sweep that
+eliminates ±1 pivots column by column (the elementary reductions of
+Kaczynski, Mrozek & Ślusarek, as used for simplicial homology by Dumas,
+Heckenbach, Saunders & Welker), then the full eliminator on the small
+residual that has no unit left to pivot on.  Boundary matrices of racks are
+almost all ±1, so the sweep does nearly all the work.  With transforms, the
+full eliminator runs alone; it is the oracle for the two-phase path.
 """
 
 from __future__ import annotations
@@ -268,16 +276,56 @@ class _Eliminator:
         del self.rows[pi]
         del self.cols[pj]
 
+    def sweep_units(self) -> int:
+        """Eliminate unit pivots column by column; returns how many.
+
+        Columns are visited in increasing order of their initial support.
+        In each, a ±1 entry of the shortest row clears the column by row
+        operations.  Column operations with that unit would then clear its
+        row without touching any other row, so the row is dropped whole: it
+        adds one divisor 1 and leaves the Smith form of the rest unchanged.
+        Columns without a ±1 entry stay for the full elimination.
+        """
+        rows, cols = self.rows, self.cols
+        units = 0
+        for pj in sorted(cols, key=lambda j: (len(cols[j]), j)):
+            support = cols.get(pj)
+            if not support:
+                continue
+            pi = min(
+                (i for i in support if rows[i][pj] in (1, -1)),
+                key=lambda i: (len(rows[i]), i),
+                default=None,
+            )
+            if pi is None:
+                continue
+            p = rows[pi][pj]
+            for i in sorted(support):
+                if i != pi:
+                    self.row_addmul(i, pi, -p * rows[i][pj])
+            for j in rows.pop(pi):
+                self._drop_support(pi, j)
+            units += 1
+        return units
+
 
 def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
-    Deterministic for a given input.  The divisor chain is enforced during
-    elimination: a non-unit pivot absorbs any row containing an entry it
-    does not divide before it is retired, so divisors come out already
-    ordered by divisibility.
+    Deterministic for a given input.  Without transforms, a sweep of unit
+    pivots (`_Eliminator.sweep_units`) first removes one row and one column
+    per ±1 pivot, each adding a divisor 1; the full elimination below then
+    reduces only the residual, in the same row and column maps.  The
+    divisors are the sweep's 1s followed by the residual's, which is a
+    divisibility chain since 1 divides everything.  With transforms, the
+    sweep is skipped and the full elimination runs on the whole matrix.
+
+    The divisor chain is enforced during elimination: a non-unit pivot
+    absorbs any row containing an entry it does not divide before it is
+    retired, so divisors come out already ordered by divisibility.
     """
     elim = _Eliminator(matrix, with_transforms)
+    units = 0 if with_transforms else elim.sweep_units()
     pivots: list[tuple[int, int, int]] = []
     while elim.rows:
         pos = elim.find_pivot()
@@ -288,7 +336,7 @@ def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) ->
         elim.retire(pi, pj)
     divisors = tuple(d for _, _, d in pivots)
     if not with_transforms:
-        return SmithForm(rank=len(pivots), divisors=divisors)
+        return SmithForm(rank=units + len(pivots), divisors=(1,) * units + divisors)
 
     # permute pivot k to position (k, k)
     pivot_rows = [i for i, _, _ in pivots]

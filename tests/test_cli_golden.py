@@ -130,8 +130,10 @@ def test_output_matches_golden(index, case, golden, tmp_path):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_mismatch_exits_one(fmt, tmp_path, monkeypatch):
     """A closed form that disagrees with brute force fails verify."""
-    real_betti = cli.betti
-    monkeypatch.setattr(cli, "betti", lambda spec, n: real_betti(spec, n) + 1)
+    real_betti_numbers = cli.betti_numbers
+    monkeypatch.setattr(
+        cli, "betti_numbers", lambda spec, d: [b + 1 for b in real_betti_numbers(spec, d)]
+    )
     case = {"command": "verify", "input": "perm_unordered", "flags": ["--format", fmt]}
     result = run_case(case, tmp_path)
     assert result["exit"] == 1

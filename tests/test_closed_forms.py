@@ -11,6 +11,7 @@ from rackhom.closed_forms import (
     EquivariantRanks,
     IntPolynomial,
     betti,
+    betti_numbers,
     e2_rank,
     e2_row,
     equivariant_ranks,
@@ -189,6 +190,15 @@ class TestBetti:
             betti(PermutationSpec(()), 0)
         with pytest.raises(ValueError):
             betti(FIB_SPEC, -1)
+        with pytest.raises(EmptySpec):
+            betti_numbers(PermutationSpec(()), 0)
+        with pytest.raises(ValueError):
+            betti_numbers(FIB_SPEC, -1)
+
+    def test_numbers_are_betti_of_every_degree(self):
+        for spec in (FIB_SPEC, PermutationSpec((1,)), PermutationSpec((2, 1), 1)):
+            for top in range(6):
+                assert betti_numbers(spec, top) == [betti(spec, n) for n in range(top + 1)]
 
 
 class TestPoincareSeries:

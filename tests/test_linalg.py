@@ -142,6 +142,48 @@ class TestSmithNormalForm:
         check_smith_contract(dense(rows))
 
 
+class TestUnitSweep:
+    """The default path sweeps unit pivots before the full elimination; the
+    transform path does not, so it is the oracle for (rank, divisors)."""
+
+    @staticmethod
+    def both_paths(matrix):
+        fast = smith_normal_form(matrix)
+        slow = smith_normal_form(matrix, with_transforms=True)
+        assert (fast.rank, fast.divisors) == (slow.rank, slow.divisors)
+        return fast.divisors
+
+    def test_empty(self):
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            assert self.both_paths(SparseIntMatrix(*shape)) == ()
+
+    def test_no_unit_entry(self):
+        assert self.both_paths(dense([[2, 0, 0], [0, 2, 0], [0, 0, 2]])) == (2, 2, 2)
+
+    def test_signed_permutation_is_all_units(self):
+        matrix = dense([[0, -1, 0, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, 0, 1, 0]])
+        assert self.both_paths(matrix) == (1, 1, 1, 1)
+
+    def test_unit_pivot_row_with_non_units(self):
+        assert self.both_paths(dense([[1, 2], [3, 4]])) == (1, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -3)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                max_size=8,
+            )
+        )
+    )
+    def test_mostly_unit_matrices(self, rows):
+        self.both_paths(dense(rows))
+
+
 class TestRationalRank:
     def test_zero(self):
         assert rational_rank(SparseIntMatrix(4, 2)) == 0
