@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import comb
 from typing import Iterator, Sequence
 
 from .racks import EmptySpec, PermutationSpec
@@ -172,11 +173,23 @@ def e2_row(spec: PermutationSpec, q: int) -> IntPolynomial:
 
 
 def e2_rank(spec: PermutationSpec, p: int, q: int) -> int:
-    """Rank of the E^2 entry in bidegree (p, q); zero whenever p > q."""
+    """Rank of the E^2 entry in bidegree (p, q); zero whenever p > q.
+
+    The coefficient of T^p in f(T)^q + f(T)^(q-1), read off the binomial
+    expansion C(q,p)(r-1)^(q-p) r_fin^p + C(q-1,p)(r-1)^(q-1-p) r_fin^p
+    instead of multiplying out the powers; `e2_row` is the test oracle.
+    """
     if p < 0 or q < 0:
         raise ValueError("negative bidegree")
-    poly = e2_row(spec, q)
-    return poly.coefficient(p)
+    if q == 0:
+        return 1 if p == 0 else 0
+    if p > q:
+        return 0
+    base, r_fin_p = spec.r - 1, spec.r_fin ** p
+    rank = comb(q, p) * base ** (q - p) * r_fin_p
+    if p < q:
+        rank += comb(q - 1, p) * base ** (q - 1 - p) * r_fin_p
+    return rank
 
 
 def _betti_recursion(spec: PermutationSpec) -> Iterator[int]:

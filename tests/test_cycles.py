@@ -33,6 +33,9 @@ from rackhom.racks import (
 
 RACK_01 = permutation_rack(PermutationSpec((2,)))
 RACK_01_2 = permutation_rack(PermutationSpec((2, 1)))  # orbits {0,1}, {2}
+# Detection merges the monomials of each orbit, so the certificate's columns
+# share leading entries and its rank needs real column updates.
+RACK_012_3 = permutation_rack(PermutationSpec((3, 1)))  # orbits {0,1,2}, {3}
 
 
 class TestDifferenceProduct:
@@ -228,3 +231,13 @@ class TestIndependenceCertificate:
     def test_zero_chain_detected_as_dependent(self):
         rank, independent = independence_certificate(RACK_01_2, [Chain.zero(1)])
         assert (rank, independent) == (0, False)
+
+    def test_basis_on_a_three_element_orbit(self):
+        basis = cycle_basis(RACK_012_3, 5)
+        assert independence_certificate(RACK_012_3, basis) == (len(basis), True)
+        assert len(basis) == betti(PermutationSpec.from_rack(RACK_012_3), 5)
+
+    def test_sum_of_two_basis_chains_on_a_three_element_orbit(self):
+        basis = cycle_basis(RACK_012_3, 5)
+        dependent = basis + [basis[1] + basis[-1]]
+        assert independence_certificate(RACK_012_3, dependent) == (len(basis), False)

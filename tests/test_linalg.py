@@ -204,6 +204,44 @@ class TestRationalRank:
             doubled = [[2 * v for v in row] for row in rows]
             assert rational_rank(dense(rows)) == rational_rank(dense(doubled))
 
+    def test_smith_oracle_on_rank_deficient_sparse_matrices(self):
+        # Columns appended and shuffled in: a zero column, a duplicate, and
+        # a combination a·x + b·y of two others with non-unit a and b, so
+        # the reduction has to clear non-unit leading entries.
+        rng = random.Random(11)
+        for _ in range(60):
+            row_count = rng.randint(1, 14)
+            cols = [
+                {i: rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 5, 7])
+                 for i in range(row_count) if rng.random() < 0.3}
+                for _ in range(rng.randint(2, 12))
+            ]
+            x, y = rng.sample(cols, 2)
+            a, b = rng.choice([2, -3, 4, 6]), rng.choice([-2, 3, 5, -9])
+            combo = {i: a * x.get(i, 0) + b * y.get(i, 0) for i in set(x) | set(y)}
+            cols += [{}, dict(rng.choice(cols)), combo]
+            rng.shuffle(cols)
+            matrix = SparseIntMatrix(row_count, len(cols), {
+                (i, j): v for j, col in enumerate(cols) for i, v in col.items() if v
+            })
+            rank = rational_rank(matrix)
+            assert rank == smith_normal_form(matrix).rank
+            assert rank <= len(cols) - 3
+            assert rational_rank(matrix.transpose()) == rank
+
+    def test_full_rank_exactly_when_determinant_nonzero(self):
+        # dense 30x30 with entries near 10^12 guards coefficient growth
+        rng = random.Random(13)
+        n = 30
+        for singular in (False, False, True):
+            rows = [[10 ** 12 + rng.randint(-1000, 1000) for _ in range(n)] for _ in range(n)]
+            if singular:
+                for row in rows:
+                    row[n - 1] = 3 * row[0] - 7 * row[1]
+            matrix = dense(rows)
+            assert (rational_rank(matrix) == n) == (determinant(matrix) != 0)
+            assert (determinant(matrix) == 0) == singular
+
 
 class TestRankModPrime:
     def test_drops_exactly_on_torsion_primes(self):
