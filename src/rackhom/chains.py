@@ -52,6 +52,15 @@ class Chain:
         self._coeffs = clean
 
     @classmethod
+    def _clean(cls, degree: int, coeffs: dict[Monomial, int]) -> "Chain":
+        """A chain that takes over coeffs without checks: the caller
+        guarantees tuple monomials of this degree and no zero coefficient."""
+        chain = object.__new__(cls)
+        chain.degree = degree
+        chain._coeffs = coeffs
+        return chain
+
+    @classmethod
     def zero(cls, degree: int) -> "Chain":
         return cls(degree)
 
@@ -85,31 +94,34 @@ class Chain:
         return hash((self.degree, frozenset(self._coeffs.items())))
 
     def __add__(self, other: "Chain") -> "Chain":
+        return self._plus(other, 1)
+
+    def __neg__(self) -> "Chain":
+        return Chain._clean(self.degree, {m: -c for m, c in self._coeffs.items()})
+
+    def __sub__(self, other: "Chain") -> "Chain":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Chain", sign: int) -> "Chain":
         if not isinstance(other, Chain):
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("cannot add chains of different degrees")
         coeffs = dict(self._coeffs)
         for mono, coeff in other._coeffs.items():
-            _add_term(coeffs, mono, coeff)
-        return Chain(self.degree, coeffs)
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.degree, {m: -c for m, c in self._coeffs.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
+            _add_term(coeffs, mono, sign * coeff)
+        return Chain._clean(self.degree, coeffs)
 
     def __rmul__(self, scalar: int) -> "Chain":
         if not isinstance(scalar, int):
             return NotImplemented
         if scalar == 0:
             return Chain.zero(self.degree)
-        return Chain(self.degree, {m: scalar * c for m, c in self._coeffs.items()})
+        return Chain._clean(self.degree, {m: scalar * c for m, c in self._coeffs.items()})
 
     def prepend(self, x: int) -> "Chain":
         """The chain x·c, degree raised by one."""
-        return Chain(
+        return Chain._clean(
             self.degree + 1,
             {(x,) + mono: coeff for mono, coeff in self._coeffs.items()},
         )
@@ -122,7 +134,7 @@ class Chain:
         coeffs: dict[Monomial, int] = {}
         for mono, coeff in self._coeffs.items():
             _add_term(coeffs, tuple(f(mono)), coeff)
-        return Chain(self.degree, coeffs)
+        return Chain._clean(self.degree, coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -180,7 +192,7 @@ def boundary_of_monomial(rack: FiniteRack, w: Monomial) -> Chain:
         tail = w[k:]
         _add_term(coeffs, head + tail, sign)
         _add_term(coeffs, head + tuple(op(x, v) for v in tail), -sign)
-    return Chain(n - 1, coeffs)
+    return Chain._clean(n - 1, coeffs)
 
 
 def apply_boundary(rack: FiniteRack, c: Chain) -> Chain:
@@ -191,7 +203,7 @@ def apply_boundary(rack: FiniteRack, c: Chain) -> Chain:
     for mono, coeff in c._coeffs.items():
         for sub, sub_coeff in boundary_of_monomial(rack, mono)._coeffs.items():
             _add_term(coeffs, sub, coeff * sub_coeff)
-    return Chain(c.degree - 1, coeffs)
+    return Chain._clean(c.degree - 1, coeffs)
 
 
 def _rank_of(mono: Monomial, size: int) -> int:

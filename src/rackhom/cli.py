@@ -226,7 +226,15 @@ def _homology_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[s
     return [{"free_rank": group.free_rank, "torsion": group.torsion} for group in groups]
 
 
+def _check_work(count: int, what: str, cap: int) -> None:
+    """Closed forms have no basis to count; their work is the number of
+    values asked for, held to the same cap."""
+    if count > cap:
+        raise DegreeTooLarge(f"{count} {what} exceed the cap of {cap}")
+
+
 def _betti_columns(spec: PermutationSpec, args: argparse.Namespace) -> list[dict[str, Any]]:
+    _check_work(args.max_degree + 1, "Betti degrees", args.basis_cap)
     return [{"closed_form": b} for b in betti_numbers(spec, args.max_degree)]
 
 
@@ -234,6 +242,8 @@ def _e2_columns(
     spec: PermutationSpec, args: argparse.Namespace
 ) -> tuple[list[dict[str, Any]], list[dict[str, int]]]:
     """Antidiagonal totals of the E^2 page, and the page itself."""
+    cells = (args.max_degree + 1) * (args.max_degree + 2) // 2
+    _check_work(cells, "E2 page cells", args.basis_cap)
     page = [
         {"p": p, "q": q, "rank": e2_rank(spec, p, q)}
         for q in range(args.max_degree + 1)
@@ -282,6 +292,7 @@ def run_homology(description: RackDescription, args: argparse.Namespace) -> Repo
 
 def run_betti(description: RackDescription, args: argparse.Namespace) -> Report:
     spec = description.spec()
+    _check_work(args.terms, "Poincare series terms", args.basis_cap)
     rows = _rows(_betti_columns(spec, args))
     poly = poincare_series(spec, args.terms)
     series = [poly.coefficient(k) for k in range(args.terms)]

@@ -13,13 +13,16 @@ the rank is the number of columns left nonzero.  An update touches only the
 two columns involved, so the work follows the sizes of the columns that
 need updates, not the square of the row count.
 
-Without transforms, `smith_normal_form` runs in two phases: a sweep that
-eliminates ±1 pivots column by column (the elementary reductions of
-Kaczynski, Mrozek & Ślusarek, as used for simplicial homology by Dumas,
-Heckenbach, Saunders & Welker), then the full eliminator on the small
-residual that has no unit left to pivot on.  Boundary matrices of racks are
-almost all ±1, so the sweep does nearly all the work.  With transforms, the
-full eliminator runs alone; it is the oracle for the two-phase path.
+Without transforms, `smith_normal_form` reduces in rounds.  Each round
+takes the content c of what is left (the gcd of its entries) and sweeps
+the ±c pivots column by column, dropping each pivot row whole (the
+elementary reductions of Kaczynski, Mrozek & Ślusarek, as used for
+simplicial homology by Dumas, Heckenbach, Saunders & Welker, extended from
+±1 to ±c).  Only a round that finds no ±c entry falls back to one step of
+the full eliminator.  Boundary matrices of racks are almost all ±1, and on
+every rack boundary measured, one more round at the content of what the ±1
+round leaves finishes the reduction without that step.  With transforms,
+the full eliminator runs alone; it is the oracle for the sweep.
 """
 
 from __future__ import annotations
@@ -284,24 +287,45 @@ class _Eliminator:
         del self.rows[pi]
         del self.cols[pj]
 
-    def sweep_units(self) -> int:
-        """Eliminate unit pivots column by column; returns how many.
+    def step(self) -> tuple[int, int, int]:
+        """One pivot of the full elimination: find it, isolate it, retire
+        its row and column.  Returns (row, col, divisor)."""
+        pi, pj, d = self.isolate(*self.find_pivot())
+        self.retire(pi, pj)
+        return pi, pj, d
 
-        Columns are visited in increasing order of their initial support.
-        In each, a ±1 entry of the shortest row clears the column by row
-        operations.  Column operations with that unit would then clear its
-        row without touching any other row, so the row is dropped whole: it
-        adds one divisor 1 and leaves the Smith form of the rest unchanged.
-        Columns without a ±1 entry stay for the full elimination.
+    def content(self) -> int:
+        """The gcd of every entry left; stops at the first row that makes
+        it 1."""
+        c = 0
+        for row in self.rows.values():
+            c = gcd(c, *row.values())
+            if c == 1:
+                break
+        return c
+
+    def sweep(self, c: int) -> int:
+        """Eliminate ±c pivots column by column, where c divides every entry
+        left; returns how many.
+
+        Columns are visited in increasing order of their support at the
+        start of the round, the later column first on a tie.  In each, a ±c
+        entry of the shortest row clears the column by row operations, whose
+        multipliers are exact because c divides every entry.  Column
+        operations with that pivot would then clear its row without touching
+        any other row, so the row is dropped whole: it adds one divisor c
+        and leaves the Smith form of the rest unchanged, every entry of
+        which is still a multiple of c.  Columns without a ±c entry stay for
+        the next round.
         """
         rows, cols = self.rows, self.cols
-        units = 0
-        for pj in sorted(cols, key=lambda j: (len(cols[j]), j)):
+        swept = 0
+        for pj in sorted(cols, key=lambda j: (len(cols[j]), -j)):
             support = cols.get(pj)
             if not support:
                 continue
             pi = min(
-                (i for i in support if rows[i][pj] in (1, -1)),
+                (i for i in support if rows[i][pj] in (c, -c)),
                 key=lambda i: (len(rows[i]), i),
                 default=None,
             )
@@ -310,41 +334,45 @@ class _Eliminator:
             p = rows[pi][pj]
             for i in sorted(support):
                 if i != pi:
-                    self.row_addmul(i, pi, -p * rows[i][pj])
+                    self.row_addmul(i, pi, -(rows[i][pj] // p))
             for j in rows.pop(pi):
                 self._drop_support(pi, j)
-            units += 1
-        return units
+            swept += 1
+        return swept
 
 
 def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
-    Deterministic for a given input.  Without transforms, a sweep of unit
-    pivots (`_Eliminator.sweep_units`) first removes one row and one column
-    per ±1 pivot, each adding a divisor 1; the full elimination below then
-    reduces only the residual, in the same row and column maps.  The
-    divisors are the sweep's 1s followed by the residual's, which is a
-    divisibility chain since 1 divides everything.  With transforms, the
-    sweep is skipped and the full elimination runs on the whole matrix.
+    Deterministic for a given input.  Without transforms, the reduction runs
+    in rounds on the eliminator's row and column maps.  Each round takes the
+    content c of what is left (the gcd of its entries) and sweeps ±c pivots
+    (`_Eliminator.sweep`), each removing one row and one column and adding a
+    divisor c.  A round that finds no ±c entry takes one step of the full
+    elimination instead, whose pivot divides everything left and so is c
+    again.  Row operations keep every entry a multiple of c, so the next
+    round's content is a multiple of this one's and the divisors come out
+    as a divisibility chain in order.  With transforms, the full elimination
+    runs alone on the whole matrix; it is the oracle for the sweep.
 
-    The divisor chain is enforced during elimination: a non-unit pivot
-    absorbs any row containing an entry it does not divide before it is
-    retired, so divisors come out already ordered by divisibility.
+    The full elimination enforces the divisor chain itself: a non-unit
+    pivot absorbs any row containing an entry it does not divide before it
+    is retired, so divisors come out already ordered by divisibility.
     """
     elim = _Eliminator(matrix, with_transforms)
-    units = 0 if with_transforms else elim.sweep_units()
+    if not with_transforms:
+        divisors: list[int] = []
+        while elim.rows:
+            c = elim.content()
+            swept = elim.sweep(c)
+            divisors += [c] * swept
+            if not swept:
+                divisors.append(elim.step()[2])
+        return SmithForm(rank=len(divisors), divisors=tuple(divisors))
+
     pivots: list[tuple[int, int, int]] = []
     while elim.rows:
-        pos = elim.find_pivot()
-        if pos is None:  # pragma: no cover - rows holds only nonempty rows
-            break
-        pi, pj, d = elim.isolate(*pos)
-        pivots.append((pi, pj, d))
-        elim.retire(pi, pj)
-    divisors = tuple(d for _, _, d in pivots)
-    if not with_transforms:
-        return SmithForm(rank=units + len(pivots), divisors=(1,) * units + divisors)
+        pivots.append(elim.step())
 
     # permute pivot k to position (k, k)
     pivot_rows = [i for i, _, _ in pivots]
@@ -361,6 +389,7 @@ def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) ->
             v_entries[(i, new_j)] = v
     left = SparseIntMatrix(matrix.row_count, matrix.row_count, u_entries)
     right = SparseIntMatrix(matrix.col_count, matrix.col_count, v_entries)
+    divisors = tuple(d for _, _, d in pivots)
     return SmithForm(rank=len(pivots), divisors=divisors, left=left, right=right)
 
 

@@ -78,6 +78,34 @@ class TestChainAlgebra:
         c = Chain(1, {(0,): 1, (1,): -1})
         assert not c.map_monomials(lambda m: (0,) * len(m))
 
+    def test_mixed_degree_subtraction_rejected(self):
+        with pytest.raises(ValueError):
+            Chain(1, {(0,): 1}) - Chain(2, {(0, 0): 1})
+
+    def test_operations_keep_the_invariants(self):
+        # Internal operations skip the public constructor's checks; their
+        # results must still pass them unchanged: tuple monomials of the
+        # chain's degree and no stored zero.
+        rng = random.Random(23)
+        rack = RACK_012
+        phi = as_permutation(rack)
+        for _ in range(200):
+            degree = rng.randint(0, 3)
+            a = random_chain(rng, rack, degree, max_terms=5, max_coeff=2)
+            b = random_chain(rng, rack, degree, max_terms=5, max_coeff=2)
+            results = [
+                a + b, a - b, a - a, -a, rng.choice([-2, 3]) * a,
+                a.prepend(rng.randrange(rack.size)),
+                a.map_monomials(lambda m: tuple(phi[v] for v in m)),
+                a.map_monomials(lambda m: (0,) * len(m)),
+                boundary_of_monomial(rack, tuple(rng.randrange(3) for _ in range(degree))),
+                apply_boundary(rack, a),
+            ]
+            for c in results:
+                assert c == Chain(c.degree, dict(c.terms()))
+                assert all(type(m) is tuple and len(m) == c.degree for m in c.support())
+            assert a - b == a + (-b)
+
     def test_terms_sorted(self):
         c = Chain(2, {(1, 0): 1, (0, 1): 2})
         assert [m for m, _ in c.terms()] == [(0, 1), (1, 0)]

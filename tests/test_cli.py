@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,32 @@ class TestErrorMapping:
         )
         assert code == 2
         assert err.startswith("DegreeTooLarge:")
+
+    def test_closed_form_work_cap_fails_fast(self, capsys, rack_file):
+        path = rack_file(FIB)
+        for flags in (
+            ["e2", "--max-degree", "100000"],
+            ["betti", "--max-degree", "1000000"],
+            ["betti", "--terms", "10000000"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, flags[0], "--input", path, *flags[1:])
+            assert time.perf_counter() - start < 1.0, flags
+            assert (code, out) == (2, "")
+            assert err.startswith("DegreeTooLarge:")
+
+    def test_closed_form_work_at_the_cap_runs(self, capsys, rack_file):
+        path = rack_file(FIB)
+        # 3 E2 cells, 2 Betti degrees and 2 series terms: each exactly the cap
+        for argv in (
+            ["e2", "--input", path, "--max-degree", "1", "--basis-cap", "3"],
+            ["betti", "--input", path, "--max-degree", "1", "--terms", "2", "--basis-cap", "2"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+        code, _, err = run_cli(capsys, "e2", "--input", path, "--max-degree", "1", "--basis-cap", "2")
+        assert code == 2
+        assert err == "DegreeTooLarge: 3 E2 page cells exceed the cap of 2\n"
 
 
 class TestValidateCommand:

@@ -75,6 +75,11 @@ ERROR_CASES = [
     ("cycles", "swap", ["--max-degree", "4", "--basis-cap", "10"]),
     ("verify", "swap", ["--max-degree", "4", "--basis-cap", "10"]),
     ("verify", "dihedral_4", ["--max-degree", "4", "--basis-cap", "10"]),
+    ("e2", "swap", ["--max-degree", "4", "--basis-cap", "10"]),
+    ("e2", "perm_free", ["--max-degree", "100000"]),
+    ("betti", "swap", ["--max-degree", "10", "--basis-cap", "10"]),
+    ("betti", "swap", ["--terms", "11", "--basis-cap", "10"]),
+    ("betti", "perm_free", ["--max-degree", "1000000"]),
 ]
 
 

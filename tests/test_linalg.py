@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rackhom.linalg import (
     SparseIntMatrix,
+    _Eliminator,
     determinant,
     diagonal,
     matmul,
@@ -182,6 +183,76 @@ class TestUnitSweep:
     )
     def test_mostly_unit_matrices(self, rows):
         self.both_paths(dense(rows))
+
+
+def _block_diagonal(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    width_a = len(a[0]) if a else 0
+    width_b = len(b[0]) if b else 0
+    return [row + [0] * width_b for row in a] + [[0] * width_a + row for row in b]
+
+
+class TestContentSweep:
+    """The default path sweeps ±c pivots, c the content of what is left, and
+    takes a full elimination step only when a round finds none; the
+    transform path is the oracle."""
+
+    both_paths = staticmethod(TestUnitSweep.both_paths)
+
+    @staticmethod
+    def round_contents(matrix, monkeypatch):
+        """The content of every sweep round, in order."""
+        contents = []
+        sweep = _Eliminator.sweep
+
+        def recording_sweep(self, c):
+            contents.append(c)
+            return sweep(self, c)
+
+        monkeypatch.setattr(_Eliminator, "sweep", recording_sweep)
+        smith_normal_form(matrix)
+        monkeypatch.undo()
+        return contents
+
+    def test_no_content_entry_takes_the_fallback(self, monkeypatch):
+        matrix = dense([[2, 0], [0, 3]])
+        assert self.both_paths(matrix) == (1, 6)
+        # the round at content 1 finds nothing; the step leaves a 6
+        assert self.round_contents(matrix, monkeypatch) == [1, 6]
+
+    def test_content_rises_between_rounds(self, monkeypatch):
+        matrix = dense([[2, 0, 0], [0, 4, 4], [0, 0, 4]])
+        assert self.both_paths(matrix) == (2, 4, 4)
+        assert self.round_contents(matrix, monkeypatch) == [2, 4]
+
+    def test_scaled_identity_is_one_round(self, monkeypatch):
+        matrix = dense([[6 if i == j else 0 for j in range(4)] for i in range(4)])
+        assert self.both_paths(matrix) == (6, 6, 6, 6)
+        assert self.round_contents(matrix, monkeypatch) == [6]
+
+    def test_negative_content_pivots(self):
+        assert self.both_paths(dense([[-3, 6, 0], [0, -3, 9], [3, 0, -3]])) == (3, 3, 15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=5
+            )
+        ),
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4
+            )
+        ),
+        st.sampled_from((2, 3, 6)),
+    )
+    def test_scaled_blocks(self, a, b, c):
+        scaled_a = [[c * v for v in row] for row in a]
+        scaled_b = [[c * v for v in row] for row in b]
+        divisors = self.both_paths(dense(scaled_a))
+        assert all(d % c == 0 for d in divisors)
+        assert divisors == tuple(c * d for d in smith_normal_form(dense(a)).divisors)
+        self.both_paths(dense(_block_diagonal(a, scaled_b)))
 
 
 class TestRationalRank:
