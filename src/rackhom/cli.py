@@ -19,7 +19,7 @@ from typing import Any
 from .chains import DEFAULT_BASIS_CAP, DegreeTooLarge
 # `betti` is unused here but stays importable as `cli.betti`: perfbench/spans.py
 # wraps the closed forms where the CLI looks them up.
-from .closed_forms import betti, betti_numbers, e2_rank, poincare_series  # noqa: F401
+from .closed_forms import betti, betti_numbers, betti_reaches, e2_rank, poincare_series  # noqa: F401
 from .cycles import basis_recipes, independence_certificate
 from .homology import homology_table
 from .racks import (
@@ -157,18 +157,16 @@ def load_description(path: str) -> RackDescription:
     return RackDescription.from_document(doc)
 
 
-def _error_name(exc: Exception) -> str | None:
-    if isinstance(exc, ParseError):
-        return "ParseError"
-    if isinstance(
-        exc, (ValidationError, NotBijective, NotSelfDistributive, NotPermutation, EmptySpec)
-    ):
-        return "ValidationError"
-    if isinstance(exc, InfiniteOrbits):
-        return "InfiniteOrbits"
-    if isinstance(exc, DegreeTooLarge):
-        return "DegreeTooLarge"
-    return None
+# Each stable error name with the exception types reported under it.
+_ERROR_NAMES: tuple[tuple[Any, str], ...] = (
+    (ParseError, "ParseError"),
+    (
+        (ValidationError, NotBijective, NotSelfDistributive, NotPermutation, EmptySpec),
+        "ValidationError",
+    ),
+    (InfiniteOrbits, "InfiniteOrbits"),
+    (DegreeTooLarge, "DegreeTooLarge"),
+)
 
 
 # Row keys in JSON order with their csv and table headers; None: JSON only.
@@ -186,25 +184,18 @@ COLUMNS: tuple[tuple[str, str | None, str | None], ...] = (
 _TABULAR = [column for column in COLUMNS if column[1] is not None]
 
 
-@dataclass
-class Report:
-    description: RackDescription
-    rows: list[dict[str, Any]]  # one per degree, keyed by COLUMNS
-    status: str = "ok"
-    series: list[int] | None = None
-    e2_page: list[dict[str, int]] | None = None  # cells {"p", "q", "rank"}
-    summary: dict[str, Any] | None = None  # validate command only
+def _report(description: RackDescription, rows: list, **extra: Any) -> dict[str, Any]:
+    """The JSON document every format writes; ``extra`` is the command's own
+    key: summary, poincare_series, or e2_page of cells {"p", "q", "rank"}."""
+    return {"rack": description.canonical(), "results": rows, "status": "ok", **extra}
 
 
-def run_validate(description: RackDescription, args: argparse.Namespace) -> Report:
+def run_validate(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
     summary: dict[str, Any]
     if description.kind == "table":
         rack = validate_rack(description.table)
         phi = as_permutation(rack)
-        summary = {
-            "size": rack.size,
-            "is_permutation": phi is not None,
-        }
+        summary = {"size": rack.size, "is_permutation": phi is not None}
         if phi is not None:
             orbits = orbit_decomposition(phi).orbits
             summary["orbits"] = [list(orbit) for orbit in orbits]
@@ -218,7 +209,7 @@ def run_validate(description: RackDescription, args: argparse.Namespace) -> Repo
             "r": spec.r,
             "r_fin": spec.r_fin,
         }
-    return Report(description, rows=[], summary=summary)
+    return _report(description, [], summary=summary)
 
 
 def _homology_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str, Any]]:
@@ -226,15 +217,20 @@ def _homology_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[s
     return [{"free_rank": group.free_rank, "torsion": group.torsion} for group in groups]
 
 
-def _check_work(count: int, what: str, cap: int) -> None:
+def _check_work(count: int, what: str, cap: int, spec: PermutationSpec, degree: int) -> None:
     """Closed forms have no basis to count; their work is the number of
-    values asked for, held to the same cap."""
+    values asked for, held to the same cap.  None of those values exceeds
+    b_degree (E^2 cells are nonnegative and sum to b_n on each antidiagonal),
+    which must also print within the interpreter's digit limit, if any."""
     if count > cap:
         raise DegreeTooLarge(f"{count} {what} exceed the cap of {cap}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
+    if digits and betti_reaches(spec, degree, 10**digits):
+        raise DegreeTooLarge(f"b_{degree} has more than {digits} digits, too many to print")
 
 
 def _betti_columns(spec: PermutationSpec, args: argparse.Namespace) -> list[dict[str, Any]]:
-    _check_work(args.max_degree + 1, "Betti degrees", args.basis_cap)
+    _check_work(args.max_degree + 1, "Betti degrees", args.basis_cap, spec, args.max_degree)
     return [{"closed_form": b} for b in betti_numbers(spec, args.max_degree)]
 
 
@@ -243,7 +239,7 @@ def _e2_columns(
 ) -> tuple[list[dict[str, Any]], list[dict[str, int]]]:
     """Antidiagonal totals of the E^2 page, and the page itself."""
     cells = (args.max_degree + 1) * (args.max_degree + 2) // 2
-    _check_work(cells, "E2 page cells", args.basis_cap)
+    _check_work(cells, "E2 page cells", args.basis_cap, spec, args.max_degree)
     page = [
         {"p": p, "q": q, "rank": e2_rank(spec, p, q)}
         for q in range(args.max_degree + 1)
@@ -274,41 +270,41 @@ def _cycle_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str,
 
 
 def _rows(*producers: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Merge column producers, each a list of one dict of columns per degree
-    0..max_degree, degree by degree.  Rank columns that no producer gives
+    """Merge column producers, each one dict of columns per degree 0..max_degree,
+    into rows keyed in COLUMNS order.  Rank columns that no producer gives
     are None, which JSON writes as null; other columns are left out."""
     rows = []
     for n, parts in enumerate(zip(*producers)):
         row = dict(degree=n, free_rank=None, torsion=None, closed_form=None, e2_total=None)
         for part in parts:
             row.update(part)
-        rows.append(row)
+        rows.append({key: row[key] for key, _, _ in COLUMNS if key in row})
     return rows
 
 
-def run_homology(description: RackDescription, args: argparse.Namespace) -> Report:
-    return Report(description, _rows(_homology_columns(description.finite_rack(), args)))
+def run_homology(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
+    return _report(description, _rows(_homology_columns(description.finite_rack(), args)))
 
 
-def run_betti(description: RackDescription, args: argparse.Namespace) -> Report:
+def run_betti(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
     spec = description.spec()
-    _check_work(args.terms, "Poincare series terms", args.basis_cap)
+    _check_work(args.terms, "Poincare series terms", args.basis_cap, spec, args.terms - 1)
     rows = _rows(_betti_columns(spec, args))
     poly = poincare_series(spec, args.terms)
     series = [poly.coefficient(k) for k in range(args.terms)]
-    return Report(description, rows, series=series)
+    return _report(description, rows, poincare_series=series)
 
 
-def run_e2(description: RackDescription, args: argparse.Namespace) -> Report:
+def run_e2(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
     totals, page = _e2_columns(description.spec(), args)
-    return Report(description, _rows(totals), e2_page=page)
+    return _report(description, _rows(totals), e2_page=page)
 
 
-def run_cycles(description: RackDescription, args: argparse.Namespace) -> Report:
-    return Report(description, _rows(_cycle_columns(description.finite_rack(), args)))
+def run_cycles(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
+    return _report(description, _rows(_cycle_columns(description.finite_rack(), args)))
 
 
-def run_verify(description: RackDescription, args: argparse.Namespace) -> Report:
+def run_verify(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
     """Every column at once; ok when the five ranks agree, the certificate
     is independent and there is no torsion."""
     rack = description.finite_rack()
@@ -326,7 +322,7 @@ def run_verify(description: RackDescription, args: argparse.Namespace) -> Report
         len({row[key] for key in ranks}) == 1 and row["independent"] and not row["torsion"]
         for row in rows
     )
-    return Report(description, rows, status="ok" if match else "mismatch")
+    return _report(description, rows, status="ok" if match else "mismatch")
 
 
 _RUNNERS = {
@@ -347,58 +343,46 @@ def _cell(key: str, value: Any, missing: str, no_torsion: str) -> str:
     return str(value)
 
 
-def emit_json(report: Report) -> str:
-    results = [{key: row[key] for key, _, _ in COLUMNS if key in row} for row in report.rows]
-    document: dict[str, Any] = {
-        "rack": report.description.canonical(),
-        "results": results,
-        "status": report.status,
-    }
-    if report.summary is not None:
-        document["summary"] = report.summary
-    if report.series is not None:
-        document["poincare_series"] = report.series
-    if report.e2_page is not None:
-        document["e2_page"] = report.e2_page
-    return json.dumps(document, indent=2)
+def emit_json(report: dict[str, Any]) -> str:
+    return json.dumps(report, indent=2)
 
 
-def emit_csv(report: Report) -> str:
+def emit_csv(report: dict[str, Any]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if report.summary is not None:
+    if "summary" in report:
         writer.writerow(["field", "value"])
-        for key, value in report.summary.items():
+        for key, value in report["summary"].items():
             writer.writerow([key, json.dumps(value) if isinstance(value, list) else value])
         return buffer.getvalue()
     writer.writerow([header for _, header, _ in _TABULAR])
-    for row in report.rows:
+    for row in report["results"]:
         writer.writerow([_cell(key, row.get(key), "", "") for key, _, _ in _TABULAR])
     return buffer.getvalue()
 
 
-def emit_table(report: Report) -> str:
-    lines = [f"{key}: {value}" for key, value in (report.summary or {}).items()]
-    if report.summary is None:
+def emit_table(report: dict[str, Any]) -> str:
+    lines = [f"{key}: {value}" for key, value in report.get("summary", {}).items()]
+    if "summary" not in report:
         header = [header for _, _, header in _TABULAR]
         table_rows = [
             [_cell(key, row.get(key), "-", "none") for key, _, _ in _TABULAR]
-            for row in report.rows
+            for row in report["results"]
         ]
         widths = [max(map(len, column)) for column in zip(header, *table_rows)]
         for cells in [header, *table_rows]:
             lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-    for row in report.rows:
+    for row in report["results"]:
         if "recipes" in row:
             lines.append(f"B_{row['degree']}: " + ", ".join(row["recipes"]))
-    if report.series is not None:
-        lines.append("poincare_series: " + ", ".join(map(str, report.series)))
-    if report.e2_page is not None:
+    if "poincare_series" in report:
+        lines.append("poincare_series: " + ", ".join(map(str, report["poincare_series"])))
+    if "e2_page" in report:
         lines.append("e2_page (p, q, rank):")
-        for cell in report.e2_page:
+        for cell in report["e2_page"]:
             if cell["rank"]:
                 lines.append(f"  ({cell['p']}, {cell['q']}): {cell['rank']}")
-    lines.append(f"status: {report.status}")
+    lines.append(f"status: {report['status']}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,10 +401,10 @@ def main(argv: list[str] | None = None) -> int:
         description = load_description(args.input)
         report = _RUNNERS[args.command](description, args)
     except Exception as exc:  # noqa: BLE001 - mapped to stable names below
-        name = _error_name(exc)
+        name = next((name for types, name in _ERROR_NAMES if isinstance(exc, types)), None)
         if name is None:
             raise
         print(f"{name}: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(_EMITTERS[args.output_format](report))
-    return 1 if report.status == "mismatch" else 0
+    return 1 if report["status"] == "mismatch" else 0

@@ -30,8 +30,10 @@ class IntPolynomial:
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        end = len(coeffs)
+        while end and coeffs[end - 1] == 0:
+            end -= 1
+        coeffs = coeffs[:end]
         if self.order is not None:
             if self.order < 0:
                 raise ValueError("negative truncation order")
@@ -216,6 +218,19 @@ def betti_numbers(spec: PermutationSpec, max_degree: int) -> list[int]:
     if max_degree < 0:
         raise ValueError("negative degree")
     return list(islice(_betti_recursion(spec), max_degree + 1))
+
+
+def betti_reaches(spec: PermutationSpec, max_degree: int, bound: int) -> bool:
+    """Whether some b_n with n <= max_degree is at least ``bound``.
+
+    Runs the recursion only until a value reaches the bound.  Once r >= 2,
+    b_n never decreases, so the answer is whether b_max_degree reaches it;
+    with r <= 1 every b_n is 0 or 1.
+    """
+    _require_orbits(spec)
+    if spec.r < 2:
+        return bound <= 1
+    return any(b >= bound for b in islice(_betti_recursion(spec), max_degree + 1))
 
 
 def poincare_series(spec: PermutationSpec, terms: int) -> IntPolynomial:

@@ -136,17 +136,14 @@ class _Eliminator:
     """
 
     def __init__(self, matrix: SparseIntMatrix, with_transforms: bool):
-        self.m = matrix.row_count
-        self.n = matrix.col_count
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         for (i, j), v in matrix.entries.items():
             self.rows.setdefault(i, {})[j] = v
             self.cols.setdefault(j, set()).add(i)
-        self.with_transforms = with_transforms
         # left transform rows / right transform columns, both start as I
-        self.urows = {i: {i: 1} for i in range(self.m)} if with_transforms else None
-        self.vcols = {j: {j: 1} for j in range(self.n)} if with_transforms else None
+        self.urows = {i: {i: 1} for i in range(matrix.row_count)} if with_transforms else None
+        self.vcols = {j: {j: 1} for j in range(matrix.col_count)} if with_transforms else None
 
     def row_addmul(self, dst: int, src: int, c: int) -> None:
         # row_dst += c * row_src
@@ -443,37 +440,37 @@ def rational_rank(matrix: SparseIntMatrix) -> int:
 
 def rank_mod_prime(matrix: SparseIntMatrix, p: int) -> int:
     """Rank over Z/p.  A lower bound on the rational rank; used only as a
-    fast consistency assertion, never as the answer."""
-    rows: dict[int, dict[int, int]] = {}
+    fast consistency assertion, never as the answer.
+
+    A leading-entry column reduction like `rational_rank`'s, but over Z/p
+    and written out separately so that it stays independent of both other
+    rank routines: each column is reduced by its lowest nonzero row against
+    the earlier column that owns that row, scaled so that its entry there
+    is 1, until the column is zero or owns a row of its own.
+    """
+    columns: dict[int, dict[int, int]] = {}
     for (i, j), v in matrix.entries.items():
         w = v % p
         if w:
-            rows.setdefault(i, {})[j] = w
-    work = [rows[i] for i in sorted(rows)]
-    rank = 0
-    while work:
-        prow = work.pop(min(range(len(work)), key=lambda r: (len(work[r]), r)))
-        j_star = min(prow)
-        pinv = pow(prow[j_star], -1, p)
-        rank += 1
-        reduced = []
-        for row in work:
-            a = row.get(j_star)
-            if a is None:
-                reduced.append(row)
-                continue
-            c = (a * pinv) % p
-            new = dict(row)
-            for j, v in prow.items():
-                w = (new.get(j, 0) - c * v) % p
+            columns.setdefault(j, {})[i] = w
+    owners: dict[int, dict[int, int]] = {}
+    for j in sorted(columns):
+        col = columns.pop(j)
+        while col:
+            low = max(col)
+            owner = owners.get(low)
+            if owner is None:
+                scale = pow(col[low], -1, p)
+                owners[low] = {i: v * scale % p for i, v in col.items()}
+                break
+            c = col[low]
+            for i, v in owner.items():
+                w = (col.get(i, 0) - c * v) % p
                 if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-            if new:
-                reduced.append(new)
-        work = reduced
-    return rank
+                    col[i] = w
+                elif i in col:
+                    del col[i]
+    return len(owners)
 
 
 def determinant(matrix: SparseIntMatrix) -> int:

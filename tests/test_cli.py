@@ -13,6 +13,8 @@ import pytest
 
 import rackhom
 from rackhom.cli import RackDescription, main
+from rackhom.closed_forms import betti_numbers
+from rackhom.racks import PermutationSpec
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -135,6 +137,48 @@ class TestErrorMapping:
             assert time.perf_counter() - start < 1.0, flags
             assert (code, out) == (2, "")
             assert err.startswith("DegreeTooLarge:")
+
+    def test_betti_numbers_too_long_to_print_fail_fast(self, capsys, rack_file):
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+            pytest.skip("needs the default int-to-str digit limit of Python >= 3.10.7")
+        # perm (2,1) plus one free orbit: b_n passes 4300 digits near n = 9860
+        path = rack_file({"kind": "permutation", "cycles": [[0, 1], [2]], "free_orbits": 1})
+        for flags in (
+            ["betti", "--max-degree", "10000"],
+            ["e2", "--max-degree", "10000"],
+            ["betti", "--terms", "10001"],
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, flags[0], "--input", path, *flags[1:], "--basis-cap", "100000000"
+            )
+            assert time.perf_counter() - start < 1.0, flags
+            assert (code, out) == (2, "")
+            assert err.startswith("DegreeTooLarge: b_10000 has more than 4300 digits"), flags
+        # the last degree whose b_n fits still prints; with r = 10**100 + 1
+        # and r_fin = 1, b_n gains 100 digits a degree
+        free = 10**100
+        path = rack_file({"kind": "permutation", "cycles": [[0]], "free_orbits": free}, "r.json")
+        numbers = betti_numbers(PermutationSpec((1,), free), 50)
+        last = max(n for n, b in enumerate(numbers) if b < 10**4300)
+        code, out, _ = run_cli(
+            capsys, "betti", "--input", path, "--max-degree", str(last), "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["results"][-1]["closed_form"] == numbers[last]
+        code, out, err = run_cli(capsys, "betti", "--input", path, "--max-degree", str(last + 1))
+        assert (code, out) == (2, "")
+        assert err == f"DegreeTooLarge: b_{last + 1} has more than 4300 digits, too many to print\n"
+
+    def test_long_poincare_series_of_a_free_orbit_is_linear(self, capsys, rack_file):
+        # series 1, 1, 0, 0, ...: stripping its trailing zeros one slice at a
+        # time took 11.8 s at 80000 terms
+        path = rack_file({"kind": "permutation", "cycles": [], "free_orbits": 1})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "betti", "--input", path, "--terms", "100000")
+        assert time.perf_counter() - start < 3.0
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2] == "poincare_series: 1, 1" + ", 0" * 99998
 
     def test_closed_form_work_at_the_cap_runs(self, capsys, rack_file):
         path = rack_file(FIB)

@@ -38,6 +38,9 @@ INPUTS = {
         {"kind": "table", "table": [[1, 0, 2], [1, 0, 2], [1, 0, 2]]}
     ),
     "swap": json.dumps({"kind": "permutation", "cycles": [[0, 1]]}),
+    "perm_many_free": json.dumps(
+        {"kind": "permutation", "cycles": [[0]], "free_orbits": 1000000}
+    ),
     "not_json": "{not json",
     "not_object": "[]",
     "bad_kind": json.dumps({"kind": "mystery"}),
@@ -80,6 +83,8 @@ ERROR_CASES = [
     ("betti", "swap", ["--max-degree", "10", "--basis-cap", "10"]),
     ("betti", "swap", ["--terms", "11", "--basis-cap", "10"]),
     ("betti", "perm_free", ["--max-degree", "1000000"]),
+    ("betti", "perm_many_free", ["--max-degree", "1000"]),
+    ("e2", "perm_many_free", ["--max-degree", "1000"]),
 ]
 
 

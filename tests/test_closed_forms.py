@@ -10,6 +10,7 @@ from rackhom.closed_forms import (
     IntPolynomial,
     betti,
     betti_numbers,
+    betti_reaches,
     e2_rank,
     e2_row,
     equivariant_ranks,
@@ -36,6 +37,8 @@ def all_specs(max_r):
 class TestIntPolynomial:
     def test_strips_trailing_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coefficients == (1, 2)
+        assert IntPolynomial((0, 0)).coefficients == ()
+        assert IntPolynomial((0, 3, 0), order=2).coefficients == (0, 3)
 
     def test_rejects_overfull_truncation(self):
         with pytest.raises(ValueError):
@@ -194,6 +197,24 @@ class TestBetti:
         for spec in (FIB_SPEC, PermutationSpec((1,)), PermutationSpec((2, 1), 1)):
             for top in range(6):
                 assert betti_numbers(spec, top) == [betti(spec, n) for n in range(top + 1)]
+
+    def test_reaches_is_any_of_the_first_numbers(self):
+        for spec in all_specs(4):
+            for top in range(6):
+                numbers = betti_numbers(spec, top)
+                for bound in {0, 1, 2, *numbers, *(b + 1 for b in numbers)}:
+                    expected = any(b >= bound for b in numbers)
+                    assert betti_reaches(spec, top, bound) == expected, (spec, top, bound)
+
+    def test_reaches_stops_at_the_first_large_value(self):
+        # b_n has about 0.2 n digits here; running to 10**9 would never end
+        assert betti_reaches(FIB_SPEC, 10**9, 10**100)
+        assert not betti_reaches(FIB_SPEC, 478, 10**100)
+        assert betti_reaches(FIB_SPEC, 479, 10**100)
+
+    def test_reaches_requires_orbits(self):
+        with pytest.raises(EmptySpec):
+            betti_reaches(PermutationSpec(()), 0, 1)
 
 
 class TestPoincareSeries:

@@ -155,10 +155,7 @@ class TestBoundarySmithOracles:
         # over F_p the rank drops by the number of divisors p divides; the
         # small primes also catch torsion the Smith form might have missed
         for rack, n, matrix, form in boundary_forms:
-            # each prime costs about 0.4 s at d_6: there only 2, 3 and the
-            # primes of its divisors
-            small = {2, 3} if n == 6 else {2, 3, 5, 1000003}
-            primes = small.union(*map(prime_factors, form.divisors))
+            primes = {2, 3, 5, 1000003}.union(*map(prime_factors, form.divisors))
             for p in primes:
                 dropped = sum(1 for d in form.divisors if d % p == 0)
                 assert rank_mod_prime(matrix, p) == form.rank - dropped, (rack, n, p)

@@ -331,6 +331,17 @@ class TestRankModPrime:
             for p in (2, 3, 5, 65537):
                 assert rank_mod_prime(matrix, p) <= rank
 
+    def test_counts_smith_divisors_p_does_not_divide(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 6)) for _ in range(n)] for _ in range(m)]
+            matrix = dense(rows)
+            divisors = smith_normal_form(matrix).divisors
+            for p in (2, 3, 5, 7):
+                expected = sum(1 for d in divisors if d % p)
+                assert rank_mod_prime(matrix, p) == expected, (rows, p)
+
 
 class TestDeterminant:
     def test_small_oracles(self):
