@@ -9,7 +9,7 @@ so CR_0 has rank one and d_1 = 0.  That convention pins HR_0 = Z.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import SparseIntMatrix
 from .racks import FiniteRack, NotPermutation, as_permutation, orbit_decomposition
@@ -214,6 +214,54 @@ def _rank_of(mono: Monomial, size: int) -> int:
     return index
 
 
+def boundary_columns(
+    rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP, skip: Container[int] = ()
+) -> dict[int, dict[int, int]]:
+    """The nonzero columns of d_n as {col: {row: coeff}}, against the
+    lexicographic bases, leaving out the columns in skip.
+
+    Indices are read as base-size digits, so no monomial is ever built.
+    Column J = head·size^(L+1) + x_k·size^L + tail, with L = n - k, has the
+    terms ±(head·size^L + tail) and ∓(head·size^L + act[L][x_k][tail]),
+    where act[L][x][t] is the index of x▷t applied digitwise to a tail of
+    L digits.
+    """
+    if n < 1:
+        raise ValueError("boundary matrices start at degree 1")
+    size = rack.size
+    _check_cap(size, n, cap)
+    powers = [size ** L for L in range(n + 1)]
+    act = [[[0]] * size]  # act[0][x] acts on the empty tail
+    for L in range(1, n):
+        low = act[L - 1]
+        act.append([
+            [a * powers[L - 1] + b for a in rack.table[x] for b in low[x]]
+            for x in range(size)
+        ])
+    faces = [
+        (powers[n - k + 1], powers[n - k], act[n - k], 1 if k % 2 else -1)
+        for k in range(1, n)
+    ]
+    columns: dict[int, dict[int, int]] = {}
+    for col in range(powers[n]):
+        if col in skip:
+            continue
+        terms: dict[int, int] = {}
+        for block, width, moves, sign in faces:
+            head, rest = divmod(col, block)
+            x, tail = divmod(rest, width)
+            base = head * width
+            moved = moves[x][tail]
+            if moved != tail:
+                terms[base + tail] = terms.get(base + tail, 0) + sign
+                terms[base + moved] = terms.get(base + moved, 0) - sign
+        if 0 in terms.values():
+            terms = {row: coeff for row, coeff in terms.items() if coeff}
+        if terms:
+            columns[col] = terms
+    return columns
+
+
 def boundary_matrix(
     rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP
 ) -> SparseIntMatrix:
@@ -221,15 +269,9 @@ def boundary_matrix(
 
     Column j holds the boundary of the j-th degree-n monomial.
     """
-    if n < 1:
-        raise ValueError("boundary matrices start at degree 1")
-    size = rack.size
-    _check_cap(size, n, cap)
-    entries: dict[tuple[int, int], int] = {}
-    for j, w in enumerate(product(range(size), repeat=n)):
-        for mono, coeff in boundary_of_monomial(rack, w)._coeffs.items():
-            entries[(_rank_of(mono, size), j)] = coeff
-    return SparseIntMatrix(size ** (n - 1), size ** n, entries)
+    columns = boundary_columns(rack, n, cap)
+    entries = {(i, j): v for j, col in columns.items() for i, v in col.items()}
+    return SparseIntMatrix(rack.size ** (n - 1), rack.size ** n, entries)
 
 
 def detection_map(c: Chain, orbit_of: Sequence[int]) -> Chain:

@@ -290,8 +290,9 @@ def run_betti(description: RackDescription, args: argparse.Namespace) -> dict[st
     spec = description.spec()
     _check_work(args.terms, "Poincare series terms", args.basis_cap, spec, args.terms - 1)
     rows = _rows(_betti_columns(spec, args))
-    poly = poincare_series(spec, args.terms)
-    series = [poly.coefficient(k) for k in range(args.terms)]
+    coeffs = poincare_series(spec, args.terms).coefficients
+    series = [0] * args.terms
+    series[: len(coeffs)] = coeffs
     return _report(description, rows, poincare_series=series)
 
 

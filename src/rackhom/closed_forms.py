@@ -121,10 +121,14 @@ def rational_series(
     if not denominator or denominator[0] != 1:
         raise ValueError("denominator must start with 1")
     coeffs = [0] * terms
+    coeffs[: len(numerator)] = numerator[:terms]
+    recurrence = [(k, -den) for k, den in enumerate(denominator) if k and den]
     for n in range(terms):
-        c = numerator[n] if n < len(numerator) else 0
-        for k in range(1, min(n, len(denominator) - 1) + 1):
-            c -= denominator[k] * coeffs[n - k]
+        c = coeffs[n]
+        for k, factor in recurrence:
+            if k > n:
+                break
+            c += factor * coeffs[n - k]
         coeffs[n] = c
     return IntPolynomial(tuple(coeffs), terms - 1)
 

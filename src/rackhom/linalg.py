@@ -13,16 +13,25 @@ the rank is the number of columns left nonzero.  An update touches only the
 two columns involved, so the work follows the sizes of the columns that
 need updates, not the square of the row count.
 
-Without transforms, `smith_normal_form` reduces in rounds.  Each round
-takes the content c of what is left (the gcd of its entries) and sweeps
-the ±c pivots column by column, dropping each pivot row whole (the
-elementary reductions of Kaczynski, Mrozek & Ślusarek, as used for
-simplicial homology by Dumas, Heckenbach, Saunders & Welker, extended from
-±1 to ±c).  Only a round that finds no ±c entry falls back to one step of
-the full eliminator.  Boundary matrices of racks are almost all ±1, and on
-every rack boundary measured, one more round at the content of what the ±1
-round leaves finishes the reduction without that step.  With transforms,
-the full eliminator runs alone; it is the oracle for the sweep.
+Without transforms, `smith_normal_form` goes through `smith_reduce`,
+which reduces a matrix given by its columns in rounds.  Each round takes
+the content c of what is left (the gcd of its entries) and sweeps the ±c
+pivots column by column, dropping each pivot row whole (the elementary
+reductions of Kaczynski, Mrozek & Ślusarek, as used for simplicial
+homology by Dumas, Heckenbach, Saunders & Welker, extended from ±1 to
+±c).  Only a round that finds no ±c entry falls back to one step of the
+full eliminator.  Boundary matrices of racks are almost all ±1, and on
+nearly every rack boundary measured, one more round at the content of what
+the ±1 round leaves finishes the reduction without that step.  With
+transforms, the full eliminator runs alone; it is the oracle for the sweep.
+
+`smith_reduce` also returns the rows of the ±1 pivots its first round
+takes when that round's content is 1.  Reducing d_{n+1} first, `homology`
+leaves those columns out of d_n: each is an integer combination of the
+columns kept, so the Smith form of d_n does not change.  This is the
+clearing (or twist) of persistent homology (Chen & Kerber; Bauer, Kerber
+& Reininghaus), which over Z needs the pivots to be units; the lemma is in
+the docstring of `smith_reduce`.
 """
 
 from __future__ import annotations
@@ -135,30 +144,46 @@ class _Eliminator:
     end when transforms are requested.
     """
 
-    def __init__(self, matrix: SparseIntMatrix, with_transforms: bool):
+    def __init__(
+        self, columns: dict[int, dict[int, int]], shape: tuple[int, int] | None = None
+    ):
+        """Takes over columns ({col: {row: nonzero}}), emptying it as the
+        rows are built.  With shape (row count, column count), the left and
+        right transforms are tracked too."""
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
-        for (i, j), v in matrix.entries.items():
-            self.rows.setdefault(i, {})[j] = v
-            self.cols.setdefault(j, set()).add(i)
+        rows = self.rows
+        while columns:
+            j, col = columns.popitem()
+            self.cols[j] = set(col)
+            for i, v in col.items():
+                row = rows.get(i)
+                if row is None:
+                    rows[i] = {j: v}
+                else:
+                    row[j] = v
         # left transform rows / right transform columns, both start as I
-        self.urows = {i: {i: 1} for i in range(matrix.row_count)} if with_transforms else None
-        self.vcols = {j: {j: 1} for j in range(matrix.col_count)} if with_transforms else None
+        self.urows = {i: {i: 1} for i in range(shape[0])} if shape else None
+        self.vcols = {j: {j: 1} for j in range(shape[1])} if shape else None
 
     def row_addmul(self, dst: int, src: int, c: int) -> None:
-        # row_dst += c * row_src
-        rdst = self.rows.setdefault(dst, {})
-        for j, v in self.rows.get(src, {}).items():
-            w = rdst.get(j, 0) + c * v
+        # row_dst += c * row_src, c != 0
+        rows, cols = self.rows, self.cols
+        rdst = rows.setdefault(dst, {})
+        for j, v in rows.get(src, {}).items():
+            old = rdst.get(j)
+            if old is None:
+                rdst[j] = c * v
+                cols[j].add(dst)
+                continue
+            w = old + c * v
             if w:
-                if j not in rdst:
-                    self.cols[j].add(dst)
                 rdst[j] = w
-            elif j in rdst:
+            else:
                 del rdst[j]
                 self._drop_support(dst, j)
         if not rdst:
-            del self.rows[dst]
+            del rows[dst]
         if self.urows is not None:
             udst = self.urows[dst]
             for j, v in self.urows[src].items():
@@ -301,9 +326,9 @@ class _Eliminator:
                 break
         return c
 
-    def sweep(self, c: int) -> int:
+    def sweep(self, c: int) -> list[int]:
         """Eliminate ±c pivots column by column, where c divides every entry
-        left; returns how many.
+        left; returns their rows.
 
         Columns are visited in increasing order of their support at the
         start of the round, the later column first on a tie.  In each, a ±c
@@ -316,7 +341,7 @@ class _Eliminator:
         the next round.
         """
         rows, cols = self.rows, self.cols
-        swept = 0
+        swept = []
         for pj in sorted(cols, key=lambda j: (len(cols[j]), -j)):
             support = cols.get(pj)
             if not support:
@@ -334,39 +359,81 @@ class _Eliminator:
                     self.row_addmul(i, pi, -(rows[i][pj] // p))
             for j in rows.pop(pi):
                 self._drop_support(pi, j)
-            swept += 1
+            swept.append(pi)
         return swept
+
+
+def _columns_of(matrix: SparseIntMatrix) -> dict[int, dict[int, int]]:
+    columns: dict[int, dict[int, int]] = {}
+    for (i, j), v in matrix.entries.items():
+        columns.setdefault(j, {})[i] = v
+    return columns
+
+
+def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], set[int]]:
+    """The elementary divisors of the matrix with these columns
+    ({col: {row: nonzero}}, taken over and emptied), and the rows that can
+    be cleared from the next boundary down.
+
+    The reduction runs in rounds on the eliminator's row and column maps.
+    Each round takes the content c of what is left (the gcd of its entries)
+    and sweeps ±c pivots (`_Eliminator.sweep`), each removing one row and
+    one column and adding a divisor c.  A round that finds no ±c entry
+    takes one step of the full elimination instead, whose pivot divides
+    everything left and so is c again.  Row operations keep every entry a
+    multiple of c, so the next round's content is a multiple of this one's
+    and the divisors come out as a divisibility chain in order.
+
+    The rows returned are the pivot rows of the first round when its
+    content is 1, and none otherwise.  Up to that point only row operations
+    have run, so each such pivot is a ±1 entry, at row i, of a Schur
+    complement column v: an integer combination of the input columns that
+    is zero on the rows pivoted before i.  If the input is d_{n+1}, then v
+    lies in Im d_{n+1} ⊆ ker d_n, so d_n(e_i) = ∓ the sum of v's other
+    entries times the columns of d_n at their rows, all of them rows not
+    yet pivoted.  Going back from the last pivot, every cleared column of
+    d_n is an integer combination of the columns that are never pivot rows
+    here, so dropping them leaves the image lattice of d_n, and with it its
+    Smith form, unchanged.  That is the unit-pivot condition: only ±1
+    pivots taken by row operations alone are returned.  (A later round of
+    content c would also do, since v/c is then integral and lies in ker d_n,
+    a kernel being saturated, but those pivots are few and are not
+    returned.)  A step of the full elimination adds later rows into its
+    pivot row and uses column operations, so no row is returned from it or
+    from any round after it.
+    """
+    elim = _Eliminator(columns)
+    divisors: list[int] = []
+    cleared: list[int] | None = None
+    while elim.rows:
+        c = elim.content()
+        pivots = elim.sweep(c)
+        if cleared is None:
+            cleared = pivots if c == 1 else []
+        divisors += [c] * len(pivots)
+        if not pivots:
+            divisors.append(elim.step()[2])
+    return tuple(divisors), set(cleared or ())
 
 
 def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:
     """Smith normal form over Z.
 
-    Deterministic for a given input.  Without transforms, the reduction runs
-    in rounds on the eliminator's row and column maps.  Each round takes the
-    content c of what is left (the gcd of its entries) and sweeps ±c pivots
-    (`_Eliminator.sweep`), each removing one row and one column and adding a
-    divisor c.  A round that finds no ±c entry takes one step of the full
-    elimination instead, whose pivot divides everything left and so is c
-    again.  Row operations keep every entry a multiple of c, so the next
-    round's content is a multiple of this one's and the divisors come out
-    as a divisibility chain in order.  With transforms, the full elimination
-    runs alone on the whole matrix; it is the oracle for the sweep.
+    Deterministic for a given input.  Without transforms, the columns of the
+    matrix go through `smith_reduce`, the content rounds that `homology`
+    also runs on the boundaries it builds.  With transforms, the full
+    elimination runs alone on the whole matrix; it is the oracle for the
+    rounds.
 
     The full elimination enforces the divisor chain itself: a non-unit
     pivot absorbs any row containing an entry it does not divide before it
     is retired, so divisors come out already ordered by divisibility.
     """
-    elim = _Eliminator(matrix, with_transforms)
     if not with_transforms:
-        divisors: list[int] = []
-        while elim.rows:
-            c = elim.content()
-            swept = elim.sweep(c)
-            divisors += [c] * swept
-            if not swept:
-                divisors.append(elim.step()[2])
-        return SmithForm(rank=len(divisors), divisors=tuple(divisors))
+        divisors, _ = smith_reduce(_columns_of(matrix))
+        return SmithForm(rank=len(divisors), divisors=divisors)
 
+    elim = _Eliminator(_columns_of(matrix), (matrix.row_count, matrix.col_count))
     pivots: list[tuple[int, int, int]] = []
     while elim.rows:
         pivots.append(elim.step())

@@ -13,6 +13,7 @@ from rackhom.chains import (
     DegreeTooLarge,
     NotGenerating,
     apply_boundary,
+    boundary_columns,
     boundary_matrix,
     boundary_of_monomial,
     detection_map,
@@ -233,6 +234,42 @@ class TestBoundaryMatrix:
             boundary_matrix(RACK_01, 0)
         with pytest.raises(DegreeTooLarge):
             boundary_matrix(RACK_012, 4, cap=80)
+
+
+def columns_by_monomial(rack, n):
+    """d_n assembled column by column from boundary_of_monomial."""
+    row_index = {mono: i for i, mono in enumerate(enumerate_basis(rack, n - 1))}
+    columns = {}
+    for j, mono in enumerate(enumerate_basis(rack, n)):
+        chain = boundary_of_monomial(rack, mono)
+        if chain:
+            columns[j] = {row_index[m]: c for m, c in chain.terms()}
+    return columns
+
+
+class TestBoundaryColumns:
+    def test_equals_boundary_of_monomial_with_and_without_skip(self):
+        rng = random.Random(8)
+        for rack in mixed_racks(4):
+            for n in range(1, 6):
+                oracle = columns_by_monomial(rack, n)
+                assert boundary_columns(rack, n) == oracle, (rack, n)
+                count = rack.size ** n
+                skips = [
+                    set(range(0, count, 3)),
+                    set(rng.sample(range(count), count // 2)),
+                    set(range(count)),
+                ]
+                for skip in skips:
+                    kept = {j: col for j, col in oracle.items() if j not in skip}
+                    assert boundary_columns(rack, n, skip=skip) == kept, (rack, n)
+
+    def test_degree_and_cap_validation(self):
+        with pytest.raises(ValueError):
+            boundary_columns(RACK_01, 0)
+        with pytest.raises(DegreeTooLarge):
+            boundary_columns(RACK_012, 4, cap=80)
+        assert boundary_columns(RACK_012, 1) == {}
 
 
 class TestDetectionMap:

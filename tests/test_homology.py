@@ -13,8 +13,15 @@ from rackhom.homology import (
     is_rational_boundary,
     rack_homology,
 )
-from rackhom.linalg import rank_mod_prime, rational_rank, smith_normal_form
+from rackhom.linalg import (
+    SparseIntMatrix,
+    rank_mod_prime,
+    rational_rank,
+    smith_normal_form,
+    smith_reduce,
+)
 from rackhom.racks import (
+    FiniteRack,
     PermutationSpec,
     dihedral_rack,
     permutation_rack,
@@ -69,19 +76,38 @@ class TestHomologyTable:
         assert [g.free_rank for g in homology_table(rack, 2)] == [1, 1, 1]
 
     def test_reduces_each_boundary_once_per_call(self, monkeypatch):
-        reduced = []
-        smith = rackhom.homology.smith_normal_form
+        built, reduced = [], []
+        build = rackhom.homology.boundary_columns
+        reduce = rackhom.homology.smith_reduce
 
-        def counting_smith(matrix, *args, **kwargs):
-            reduced.append(matrix.col_count)
-            return smith(matrix, *args, **kwargs)
+        def recording_build(rack, n, *args, **kwargs):
+            built.append(n)
+            return build(rack, n, *args, **kwargs)
 
-        monkeypatch.setattr(rackhom.homology, "smith_normal_form", counting_smith)
+        def counting_reduce(columns):
+            reduced.append(built[-1])
+            return reduce(columns)
+
+        monkeypatch.setattr(rackhom.homology, "boundary_columns", recording_build)
+        monkeypatch.setattr(rackhom.homology, "smith_reduce", counting_reduce)
         rack = dihedral_rack(3)
         homology_table(rack, 3)
-        assert reduced == [9, 27, 81]  # d_2, d_3, d_4
+        assert reduced == [4, 3, 2]  # d_4, d_3, d_2, top down
         homology_table(rack, 3)
-        assert reduced == [9, 27, 81] * 2
+        assert reduced == [4, 3, 2] * 2
+        assert built == reduced
+
+    def test_cap_error_names_the_smallest_degree_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran past the cap")
+
+        monkeypatch.setattr(rackhom.homology, "boundary_columns", no_work)
+        monkeypatch.setattr(rackhom.homology, "smith_reduce", no_work)
+        swap = permutation_rack(PermutationSpec((2,)))
+        with pytest.raises(DegreeTooLarge, match=r"^2\^4 basis monomials exceed the cap of 10$"):
+            homology_table(swap, 4, cap=10)
+        with pytest.raises(DegreeTooLarge, match=r"^3\^3 basis monomials exceed the cap of 26$"):
+            homology_table(dihedral_rack(3), 6, cap=26)
 
     def test_permutation_racks_are_free_of_rank_r_to_n(self):
         for rack in permutation_racks(4):
@@ -109,6 +135,29 @@ class TestHomologyTable:
         ranks = [0] + [rational_rank(boundary_matrix(rack, n)) for n in (1, 2, 3)]
         for n in range(3):
             assert ranks[n] + ranks[n + 1] <= rack.size ** n
+
+
+def alexander_quandle(m: int, t: int) -> FiniteRack:
+    """x ▷ y = t·y + (1 - t)·x on Z/m, t a unit."""
+    return FiniteRack(tuple(tuple((t * y + (1 - t) * x) % m for y in range(m)) for x in range(m)))
+
+
+TABLE_CASES = (
+    [pytest.param(rack, 4, id=f"mixed-{i}") for i, rack in enumerate(mixed_racks(4))]
+    + [pytest.param(dihedral_rack(k), 3, id=f"dihedral-{k}") for k in (3, 5, 6, 7)]
+    + [
+        pytest.param(alexander_quandle(m, t), 3, id=f"alexander-{m}-{t}")
+        for m, t in ((4, 3), (8, 3), (9, 2))
+    ]
+)
+
+
+@pytest.mark.parametrize(("rack", "max_degree"), TABLE_CASES)
+def test_table_matches_each_degree_reduced_whole(rack, max_degree):
+    # rack_homology reduces d_n and d_{n+1} whole, with no column cleared;
+    # the Alexander quandles bring Z/2, Z/8 and Z/3 torsion
+    oracle = [rack_homology(rack, n) for n in range(max_degree + 1)]
+    assert homology_table(rack, max_degree) == oracle
 
 
 def prime_factors(n: int) -> set[int]:
@@ -159,6 +208,26 @@ class TestBoundarySmithOracles:
             for p in primes:
                 dropped = sum(1 for d in form.divisors if d % p == 0)
                 assert rank_mod_prime(matrix, p) == form.rank - dropped, (rack, n, p)
+
+    def test_cleared_rows_are_unimodular_pivot_rows(self, boundary_forms):
+        # the rows smith_reduce names were ±1 pivots of an elimination by
+        # row operations alone, so the submatrix they form has full rank
+        # over Q and over every F_p (all its divisors are 1); it is ranked
+        # transposed, which is faster for these wide rows
+        for rack, n, matrix, form in boundary_forms:
+            columns = {}
+            for (i, j), v in matrix.entries.items():
+                columns.setdefault(j, {})[i] = v
+            divisors, cleared = smith_reduce(columns)
+            assert divisors == form.divisors
+            assert len(cleared) <= divisors.count(1), (rack, n)
+            index = {i: k for k, i in enumerate(sorted(cleared))}
+            sub = SparseIntMatrix(matrix.col_count, len(index), {
+                (j, index[i]): v for (i, j), v in matrix.entries.items() if i in index
+            })
+            assert rational_rank(sub) == len(cleared), (rack, n)
+            for p in (2, 3, 5):
+                assert rank_mod_prime(sub, p) == len(cleared), (rack, n, p)
 
 
 class TestIsCycle:

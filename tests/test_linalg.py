@@ -15,6 +15,7 @@ from rackhom.linalg import (
     rank_mod_prime,
     rational_rank,
     smith_normal_form,
+    smith_reduce,
 )
 
 
@@ -253,6 +254,37 @@ class TestContentSweep:
         assert all(d % c == 0 for d in divisors)
         assert divisors == tuple(c * d for d in smith_normal_form(dense(a)).divisors)
         self.both_paths(dense(_block_diagonal(a, scaled_b)))
+
+
+class TestSmithReduce:
+    """The reducer behind smith_normal_form's default path, which also
+    returns the pivot rows of its first round when that round's content
+    is 1."""
+
+    @staticmethod
+    def columns(rows):
+        matrix = dense(rows)
+        columns = {}
+        for (i, j), v in matrix.entries.items():
+            columns.setdefault(j, {})[i] = v
+        return columns
+
+    def test_returns_the_unit_round_pivot_rows_only(self):
+        # round 1 pivots on row 0 and leaves a 2 in row 1, which the round
+        # at content 2 takes; that row is not returned
+        assert smith_reduce(self.columns([[1, 0], [1, 2]])) == ((1, 2), {0})
+
+    def test_no_rows_when_the_first_content_exceeds_one(self):
+        assert smith_reduce(self.columns([[2, 0], [0, 2]])) == ((2, 2), set())
+
+    def test_no_rows_from_the_fallback_step(self):
+        assert smith_reduce(self.columns([[2, 0], [0, 3]])) == ((1, 6), set())
+
+    def test_empty_and_emptied(self):
+        assert smith_reduce({}) == ((), set())
+        columns = self.columns([[1, 1], [0, 1]])
+        assert smith_reduce(columns) == ((1, 1), {0, 1})
+        assert columns == {}  # taken over
 
 
 class TestRationalRank:
