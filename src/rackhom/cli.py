@@ -14,14 +14,21 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from .chains import DEFAULT_BASIS_CAP, DegreeTooLarge
 # `betti` is unused here but stays importable as `cli.betti`: perfbench/spans.py
 # wraps the closed forms where the CLI looks them up.
 from .closed_forms import betti, betti_numbers, betti_reaches, e2_rank, poincare_series  # noqa: F401
-from .cycles import basis_recipes, independence_certificate
-from .homology import homology_table
+# Likewise `basis_recipes` and `independence_certificate`, which the
+# certified pass (`certified_levels`) replaces here.
+from .cycles import (  # noqa: F401
+    CertifiedLevel,
+    basis_recipes,
+    certified_levels,
+    independence_certificate,
+)
+from .homology import check_table_cap, homology_table
 from .racks import (
     EmptySpec,
     FiniteRack,
@@ -251,22 +258,16 @@ def _e2_columns(
     return [{"e2_total": total} for total in totals], page
 
 
-def _cycle_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str, Any]]:
-    columns = []
-    for n in range(args.max_degree + 1):
-        recipes = basis_recipes(rack, n, args.basis_cap)
-        rank, independent = independence_certificate(
-            rack, [recipe.evaluate() for recipe in recipes]
-        )
-        columns.append(
-            {
-                "bn_size": len(recipes),
-                "certificate_rank": rank,
-                "independent": independent,
-                "recipes": [recipe.describe() for recipe in recipes],
-            }
-        )
-    return columns
+def _cycle_columns(levels: Iterator[CertifiedLevel]) -> list[dict[str, Any]]:
+    return [
+        {
+            "bn_size": len(level.recipes),
+            "certificate_rank": level.rank,
+            "independent": level.independent,
+            "recipes": [recipe.describe() for recipe in level.recipes],
+        }
+        for level in levels
+    ]
 
 
 def _rows(*producers: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -302,7 +303,8 @@ def run_e2(description: RackDescription, args: argparse.Namespace) -> dict[str, 
 
 
 def run_cycles(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    return _report(description, _rows(_cycle_columns(description.finite_rack(), args)))
+    levels = certified_levels(description.finite_rack(), args.max_degree, args.basis_cap)
+    return _report(description, _rows(_cycle_columns(levels)))
 
 
 def run_verify(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
@@ -310,11 +312,13 @@ def run_verify(description: RackDescription, args: argparse.Namespace) -> dict[s
     is independent and there is no torsion."""
     rack = description.finite_rack()
     spec = PermutationSpec.from_rack(rack)  # so a table is validated once
+    check_table_cap(rack.size, args.max_degree, args.basis_cap)
+    levels = certified_levels(rack, args.max_degree, args.basis_cap)  # checks the cap
     rows = _rows(
         _homology_columns(rack, args),
         _betti_columns(spec, args),
         _e2_columns(spec, args)[0],
-        _cycle_columns(rack, args),
+        _cycle_columns(levels),
     )
     for row in rows:
         del row["recipes"]

@@ -41,6 +41,18 @@ class IntPolynomial:
                 raise ValueError("more coefficients than the order allows")
         object.__setattr__(self, "coefficients", coeffs)
 
+    @classmethod
+    def _take(cls, coefficients: list[int], order: int | None) -> "IntPolynomial":
+        """Internal constructor without the public one's coercion and checks:
+        the caller hands over a list of ints that fits the order, whose
+        trailing zeros are dropped in place before the one tuple is made."""
+        while coefficients and not coefficients[-1]:
+            coefficients.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coefficients", tuple(coefficients))
+        object.__setattr__(poly, "order", order)
+        return poly
+
     def coefficient(self, k: int) -> int:
         """Coefficient of T^k; raises beyond the truncation order."""
         if k < 0:
@@ -52,7 +64,7 @@ class IntPolynomial:
     def truncate(self, order: int) -> "IntPolynomial":
         if self.order is not None and order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return IntPolynomial(self.coefficients[: order + 1], order)
+        return IntPolynomial._take(list(self.coefficients[: order + 1]), order)
 
     @staticmethod
     def _joint_order(a: "IntPolynomial", b: "IntPolynomial") -> int | None:
@@ -70,15 +82,15 @@ class IntPolynomial:
             for k in range(length)
         ]
         if order is not None:
-            coeffs = coeffs[: order + 1]
-        return IntPolynomial(tuple(coeffs), order)
+            del coeffs[order + 1 :]
+        return IntPolynomial._take(coeffs, order)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         order = self._joint_order(self, other)
         if not self.coefficients or not other.coefficients:
-            return IntPolynomial((), order)
+            return IntPolynomial._take([], order)
         length = len(self.coefficients) + len(other.coefficients) - 1
         if order is not None:
             length = min(length, order + 1)
@@ -90,10 +102,10 @@ class IntPolynomial:
                 if i + j >= length:
                     break
                 coeffs[i + j] += a * b
-        return IntPolynomial(tuple(coeffs), order)
+        return IntPolynomial._take(coeffs, order)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coefficients), self.order)
+        return IntPolynomial._take([-c for c in self.coefficients], self.order)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
@@ -121,8 +133,8 @@ def rational_series(
     if not denominator or denominator[0] != 1:
         raise ValueError("denominator must start with 1")
     coeffs = [0] * terms
-    coeffs[: len(numerator)] = numerator[:terms]
-    recurrence = [(k, -den) for k, den in enumerate(denominator) if k and den]
+    coeffs[: len(numerator)] = map(int, numerator[:terms])
+    recurrence = [(k, -int(den)) for k, den in enumerate(denominator) if k and den]
     for n in range(terms):
         c = coeffs[n]
         for k, factor in recurrence:
@@ -130,7 +142,7 @@ def rational_series(
                 break
             c += factor * coeffs[n - k]
         coeffs[n] = c
-    return IntPolynomial(tuple(coeffs), terms - 1)
+    return IntPolynomial._take(coeffs, terms - 1)
 
 
 @dataclass(frozen=True)

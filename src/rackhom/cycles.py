@@ -6,18 +6,32 @@ two below by the orbit-average map for every representative.  Both steps
 send cycles to cycles, and the images of the resulting chains under the
 orbit detection map stay linearly independent, which a rank computation
 certifies exactly.
+
+`certified_levels` builds the basis of every degree 0..D in one pass, each
+level from the two below it, on chains keyed by their monomials'
+lexicographic indices (base-|X| digits, as in `chains.boundary_columns`):
+(q - q*)·c is two shifted copies of c, and avg(t)(c) is d copies of t·t·c
+with φ applied digit by digit, through tables split into high and low
+digits so that none outgrows the work it serves.  Every term of every
+chain is then read through an orbit-id table into a base-r index, whose
+numeric order is the lexicographic order of orbit tuples, and the images go
+as columns straight to `linalg.column_rank`.  No factor cancels, so the
+number of terms is known before any work and is held to the cap.
+`CycleRecipe.evaluate` and `independence_certificate`, on tuple-keyed
+`Chain`s, are the oracles for the pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .chains import DEFAULT_BASIS_CAP, Chain, DegreeTooLarge, detection_map
-from .linalg import SparseIntMatrix, rational_rank
+from .linalg import SparseIntMatrix, column_rank, rational_rank
 from .racks import (
     FiniteRack,
     NotPermutation,
+    OrbitDecomposition,
     as_permutation,
     orbit_decomposition,
 )
@@ -168,32 +182,231 @@ def basis_recipes(
         raise ValueError("negative degree")
     if rack.size ** n > cap:
         raise DegreeTooLarge(f"{rack.size}^{n} exceeds the cap of {cap}")
-    decomposition = orbit_decomposition(phi)
+    return _last(_recipe_levels(rack, orbit_decomposition(phi), n))
+
+
+def _recipe_levels(
+    rack: FiniteRack, decomposition: OrbitDecomposition, max_degree: int
+) -> Iterator[list[CycleRecipe]]:
+    """The recipes of degrees 0..max_degree, one list per degree."""
     reps = [orbit[0] for orbit in decomposition.orbits]
-    sizes = decomposition.sizes
-    base = reps[0]
-    levels: list[list[CycleRecipe]] = [[CycleRecipe(rack)]]
-    if n >= 1:
-        levels.append([CycleRecipe(rack, (TerminalFactor(q),)) for q in reps])
-    for _ in range(2, n + 1):
+    older: list[CycleRecipe] = []
+    old = [CycleRecipe(rack)]
+    yield old
+    if max_degree >= 1:
+        older, old = old, [CycleRecipe(rack, (TerminalFactor(q),)) for q in reps]
+        yield old
+    for _ in range(2, max_degree + 1):
         level = [
-            CycleRecipe(rack, (DifferenceFactor(q, base),) + sub.factors)
+            CycleRecipe(rack, (DifferenceFactor(q, reps[0]),) + sub.factors)
             for q in reps[1:]
-            for sub in levels[-1]
+            for sub in old
         ]
         level.extend(
             CycleRecipe(rack, (OrbitAverageFactor(t, d),) + sub.factors)
-            for t, d in zip(reps, sizes)
-            for sub in levels[-2]
+            for t, d in zip(reps, decomposition.sizes)
+            for sub in older
         )
-        levels.append(level)
-    return levels[n]
+        older, old = old, level
+        yield level
+
+
+IndexedChain = dict[int, int]
+"""A chain of known degree n as {index: coeff}: the index of a monomial is
+its position in the lexicographic basis, its entries read as base-|X|
+digits."""
+
+
+class _DigitwiseMap:
+    """A map of the elements applied to every digit of an index.
+
+    ``images[x]`` is read as a digit in base ``out_base``.  An index of k
+    digits is looked up on its high ⌊k/2⌋ and low ⌈k/2⌉ digits, so no table
+    has more than |X|^⌈k/2⌉ entries.
+    """
+
+    def __init__(self, images: Sequence[int], out_base: int):
+        self.images = images
+        self.out_base = out_base
+        self.tables: list[list[int]] = [[0]]  # tables[L]: the map on L digits
+
+    def _table(self, digits: int) -> list[int]:
+        tables = self.tables
+        while len(tables) <= digits:
+            place, low = self.out_base ** (len(tables) - 1), tables[-1]
+            tables.append([y * place + b for y in self.images for b in low])
+        return tables[digits]
+
+    def split(self, digits: int) -> tuple[list[int], list[int], int]:
+        """(high, low, divisor): the map of a ``digits``-digit index i is
+        high[i // divisor] + low[i % divisor]."""
+        low_digits = (digits + 1) // 2
+        place = self.out_base ** low_digits
+        high = [v * place for v in self._table(digits - low_digits)]
+        return high, self._table(low_digits), len(self.images) ** low_digits
+
+
+def _chain_levels(
+    phi: Sequence[int], decomposition: OrbitDecomposition, max_degree: int
+) -> Iterator[list[IndexedChain]]:
+    """The evaluated basis chains of degrees 0..max_degree, in the order of
+    `basis_recipes`, each level built from the two below it.
+
+    (q - q*)·c is q·c minus q*·c, two copies of c shifted by q and q* times
+    |X|^(n-1) whose keys are disjoint.  avg(t)(c) is the sum over i < d of
+    t·φ^i(t)·φ^i(c): the copies differ in their second digit, so their keys
+    are disjoint too, and φ^i(c) is φ applied digitwise to φ^(i-1)(c).
+    """
+    size = len(phi)
+    reps = [orbit[0] for orbit in decomposition.orbits]
+    shift = _DigitwiseMap(phi, size)
+    older: list[IndexedChain] = []
+    old = [{0: 1}]
+    yield old
+    if max_degree >= 1:
+        older, old = old, [{q: 1} for q in reps]
+        yield old
+    for n in range(2, max_degree + 1):
+        first, second = size ** (n - 1), size ** (n - 2)
+        level = []
+        for q in reps[1:]:
+            plus, minus = q * first, reps[0] * first
+            for c in old:
+                chain = {i + plus: v for i, v in c.items()}
+                chain.update({i + minus: -v for i, v in c.items()})
+                level.append(chain)
+        high, low, divisor = shift.split(n - 2)
+        for t, d in zip(reps, decomposition.sizes):
+            for c in older:
+                head = t * (first + second)
+                chain = {i + head: v for i, v in c.items()}
+                x, moved = t, c
+                for _ in range(d - 1):
+                    x = phi[x]
+                    moved = {high[i // divisor] + low[i % divisor]: v for i, v in moved.items()}
+                    head = t * first + x * second
+                    chain.update({i + head: v for i, v in moved.items()})
+                level.append(chain)
+        older, old = old, level
+        yield level
+
+
+def chain_term_counts(size: int, r: int, max_degree: int) -> list[int]:
+    """T_0..T_max_degree, the total number of terms of the basis chains of
+    each degree on a permutation rack of this size with r orbits.
+
+    No factor cancels: (q - q*)·c has twice the terms of c and avg(t)(c)
+    d_t times as many, with the d_t summing to |X| over the
+    representatives.  So T_0 = 1, T_1 = r and
+    T_n = 2(r-1)·T_{n-1} + |X|·T_{n-2}.
+    """
+    counts = [1, r]
+    while len(counts) <= max_degree:
+        counts.append(2 * (r - 1) * counts[-1] + size * counts[-2])
+    return counts[: max_degree + 1]
+
+
+def _check_cycle_work(rack: FiniteRack, max_degree: int, cap: int) -> None:
+    """Raise DegreeTooLarge unless the basis of every degree 0..max_degree
+    fits the cap: |X|^n for each n, smallest first, then the number of
+    chain terms of the top degree."""
+    phi = _require_permutation(rack)
+    if max_degree < 0:
+        raise ValueError("negative degree")
+    size = rack.size
+    for n in range(max_degree + 1):
+        if size ** n > cap:
+            raise DegreeTooLarge(f"{size}^{n} exceeds the cap of {cap}")
+    r = len(orbit_decomposition(phi).orbits)
+    terms = chain_term_counts(size, r, max_degree)[-1]
+    if terms > cap:
+        raise DegreeTooLarge(f"{terms} cycle chain terms exceed the cap of {cap}")
 
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
     """The evaluated lower-bound basis chains; all are cycles and their
-    number equals the closed-form Betti number."""
-    return [recipe.evaluate() for recipe in basis_recipes(rack, n, cap)]
+    number equals the closed-form Betti number.  Built by the same pass as
+    `certified_levels`."""
+    _check_cycle_work(rack, n, cap)
+    phi = as_permutation(rack)
+    chains = _last(_chain_levels(phi, orbit_decomposition(phi), n))
+    return [_as_chain(chain, rack.size, n) for chain in chains]
+
+
+def _as_chain(chain: IndexedChain, size: int, degree: int) -> Chain:
+    coeffs = {}
+    for index, coeff in chain.items():
+        digits = [0] * degree
+        for k in range(degree - 1, -1, -1):
+            index, digits[k] = divmod(index, size)
+        coeffs[tuple(digits)] = coeff
+    return Chain._clean(degree, coeffs)
+
+
+@dataclass(frozen=True)
+class CertifiedLevel:
+    """The basis recipes of one degree and the rank of their chains'
+    detection images; independent when the rank is the number of recipes."""
+
+    degree: int
+    recipes: list[CycleRecipe]
+    rank: int
+
+    @property
+    def independent(self) -> bool:
+        return self.rank == len(self.recipes)
+
+
+def certified_levels(
+    rack: FiniteRack, max_degree: int, cap: int = DEFAULT_BASIS_CAP
+) -> Iterator[CertifiedLevel]:
+    """The certified basis of degrees 0..max_degree, one level at a time.
+
+    The cap is checked for every degree (`_check_cycle_work`) when this is
+    called, before any level is built.
+    """
+    _check_cycle_work(rack, max_degree, cap)
+    return _certify(rack, max_degree)
+
+
+def _certify(rack: FiniteRack, max_degree: int) -> Iterator[CertifiedLevel]:
+    phi = as_permutation(rack)
+    decomposition = orbit_decomposition(phi)
+    levels = zip(
+        _recipe_levels(rack, decomposition, max_degree),
+        _chain_levels(phi, decomposition, max_degree),
+    )
+    for n, (recipes, chains) in enumerate(levels):
+        yield CertifiedLevel(n, recipes, indexed_certificate(rack, n, chains)[0])
+
+
+def indexed_certificate(
+    rack: FiniteRack, degree: int, chains: Sequence[IndexedChain]
+) -> tuple[int, bool]:
+    """`independence_certificate` for chains of one degree given as
+    {index: coeff}: the rank of their detection images, and whether it is
+    the number of chains.
+
+    Each image is read off every term of its chain through an orbit-id
+    table, keyed by the base-r index of the orbit tuple, and goes to the
+    rank as one column.
+    """
+    decomposition = orbit_decomposition(_require_permutation(rack))
+    detect = _DigitwiseMap(decomposition.orbit_of, len(decomposition.orbits))
+    high, low, divisor = detect.split(degree)
+
+    def images() -> Iterator[IndexedChain]:
+        for chain in chains:
+            image: IndexedChain = {}
+            for i, v in chain.items():
+                key = high[i // divisor] + low[i % divisor]
+                image[key] = image.get(key, 0) + v
+            if 0 in image.values():
+                image = {key: v for key, v in image.items() if v}
+            yield image
+
+    rank = column_rank(images())
+    return rank, rank == len(chains)
 
 
 def independence_certificate(
@@ -222,6 +435,12 @@ def independence_certificate(
     matrix = SparseIntMatrix(len(support), len(chains), entries)
     rank = rational_rank(matrix)
     return rank, rank == len(chains)
+
+
+def _last(levels: Iterator[list]) -> list:
+    for level in levels:
+        pass
+    return level
 
 
 def _require_permutation(rack: FiniteRack) -> tuple[int, ...]:

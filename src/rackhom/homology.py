@@ -71,6 +71,13 @@ def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> Hom
     return HomologyGroup(free_rank, torsion)
 
 
+def check_table_cap(size: int, max_degree: int, cap: int) -> None:
+    """Raise DegreeTooLarge unless every boundary d_2 .. d_{max_degree+1}
+    that `homology_table` builds fits the cap, smallest degree first."""
+    for n in range(2, max_degree + 2):
+        _check_cap(size, n, cap)
+
+
 def homology_table(
     rack: FiniteRack, max_degree: int, cap: int = DEFAULT_BASIS_CAP
 ) -> list[HomologyGroup]:
@@ -83,8 +90,7 @@ def homology_table(
     """
     size = rack.size
     top = max_degree + 1
-    for n in range(2, top + 1):
-        _check_cap(size, n, cap)
+    check_table_cap(size, max_degree, cap)
     ranks = [0] * (top + 2)  # ranks[n] = rank d_n; d_0 and d_1 are zero
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
     cleared: set[int] = set()

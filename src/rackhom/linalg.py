@@ -7,11 +7,13 @@ implementations so each can serve as an oracle for the other.
 
 `rational_rank` is a leading-entry column reduction, the column algorithm
 of persistent homology (Edelsbrunner, Letscher & Zomorodian; Zomorodian &
-Carlsson): each column is reduced by its lowest nonzero row against the
-earlier column that owns that row, with fraction-free integer updates, and
-the rank is the number of columns left nonzero.  An update touches only the
-two columns involved, so the work follows the sizes of the columns that
-need updates, not the square of the row count.
+Carlsson), run by `column_rank` on columns given as they are built (the
+cycle certificate passes its detection images straight to it): each column
+is reduced by its lowest nonzero row against the earlier column that owns
+that row, with fraction-free integer updates, and the rank is the number of
+columns left nonzero.  An update touches only the two columns involved, so
+the work follows the sizes of the columns that need updates, not the square
+of the row count.
 
 Without transforms, `smith_normal_form` goes through `smith_reduce`,
 which reduces a matrix given by its columns in rounds.  Each round takes
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -457,28 +460,25 @@ def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) ->
     return SmithForm(rank=len(pivots), divisors=divisors, left=left, right=right)
 
 
-def rational_rank(matrix: SparseIntMatrix) -> int:
-    """Rank over the rationals by leading-entry column reduction.
+def column_rank(columns: Iterable[dict[int, int]]) -> int:
+    """Rank over the rationals of the matrix with these columns ({row:
+    nonzero} each, taken over), by leading-entry column reduction.
 
-    The columns are reduced in order, each by its lowest nonzero row (the
-    largest row index).  While an earlier reduced column owns that row, the
-    fraction-free update col = p·col - a·owner clears it, where p and a are
-    the owner's and the column's entries there divided by their gcd and
-    signed so that p > 0.  When p ≠ 1 the result is divided by the gcd of
-    its entries, so every value stays an exact int and the scaling does not
-    pile up from one update to the next.  A column that stays nonzero owns
-    its lowest row; one that reaches zero is a combination of earlier
-    columns.  The rank is the number of owners.  This is the column
+    The columns are reduced in the order given, each by its lowest nonzero
+    row (the largest row index).  While an earlier reduced column owns that
+    row, the fraction-free update col = p·col - a·owner clears it, where p
+    and a are the owner's and the column's entries there divided by their
+    gcd and signed so that p > 0.  When p ≠ 1 the result is divided by the
+    gcd of its entries, so every value stays an exact int and the scaling
+    does not pile up from one update to the next.  A column that stays
+    nonzero owns its lowest row; one that reaches zero is a combination of
+    earlier columns.  The rank is the number of owners.  This is the column
     algorithm of persistent homology: each update costs the two columns'
     support, and a column whose lowest row no earlier column owns is kept
-    as it is.  Independent of `smith_normal_form` by design.
+    as it is.  Row indices need not be dense: only their order matters.
     """
-    columns: dict[int, dict[int, int]] = {}
-    for (i, j), v in matrix.entries.items():
-        columns.setdefault(j, {})[i] = v
     owners: dict[int, dict[int, int]] = {}
-    for j in sorted(columns):
-        col = columns.pop(j)
+    for col in columns:
         while col:
             low = max(col)
             owner = owners.get(low)
@@ -503,6 +503,13 @@ def rational_rank(matrix: SparseIntMatrix) -> int:
                 if g > 1:
                     col = {i: v // g for i, v in col.items()}
     return len(owners)
+
+
+def rational_rank(matrix: SparseIntMatrix) -> int:
+    """Rank over the rationals: `column_rank` of the matrix's columns in
+    column order.  Independent of `smith_normal_form` by design."""
+    columns = _columns_of(matrix)
+    return column_rank(columns.pop(j) for j in sorted(columns))
 
 
 def rank_mod_prime(matrix: SparseIntMatrix, p: int) -> int:

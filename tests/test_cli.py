@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import rackhom
+import rackhom.cli
+import rackhom.cycles
 from rackhom.cli import RackDescription, main
 from rackhom.closed_forms import betti_numbers
 from rackhom.racks import PermutationSpec
@@ -137,6 +139,26 @@ class TestErrorMapping:
             assert time.perf_counter() - start < 1.0, flags
             assert (code, out) == (2, "")
             assert err.startswith("DegreeTooLarge:")
+
+    def test_cycle_work_cap_fails_before_any_work(self, capsys, rack_file, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran past the cap")
+
+        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
+        path = rack_file({"kind": "permutation", "cycles": [[0], [1], [2]]})
+        for command, degree, message in (
+            ("cycles", "13", "3^13 exceeds the cap of 1000000"),
+            ("cycles", "10", "3226767 cycle chain terms exceed the cap of 1000000"),
+            # homology passes its own cap (3^11 monomials) and is not run
+            ("verify", "10", "3226767 cycle chain terms exceed the cap of 1000000"),
+            ("verify", "13", "3^13 basis monomials exceed the cap of 1000000"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "--input", path, "--max-degree", degree)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (2, "", f"DegreeTooLarge: {message}\n")
 
     def test_betti_numbers_too_long_to_print_fail_fast(self, capsys, rack_file):
         if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:

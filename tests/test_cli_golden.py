@@ -38,6 +38,7 @@ INPUTS = {
         {"kind": "table", "table": [[1, 0, 2], [1, 0, 2], [1, 0, 2]]}
     ),
     "swap": json.dumps({"kind": "permutation", "cycles": [[0, 1]]}),
+    "perm_fixed_3": json.dumps({"kind": "permutation", "cycles": [[0], [1], [2]]}),
     "perm_many_free": json.dumps(
         {"kind": "permutation", "cycles": [[0]], "free_orbits": 1000000}
     ),
@@ -85,6 +86,7 @@ ERROR_CASES = [
     ("betti", "perm_free", ["--max-degree", "1000000"]),
     ("betti", "perm_many_free", ["--max-degree", "1000"]),
     ("e2", "perm_many_free", ["--max-degree", "1000"]),
+    ("cycles", "perm_fixed_3", ["--max-degree", "10"]),
 ]
 
 

@@ -75,7 +75,26 @@ class TestIntPolynomial:
             f.truncate(1).truncate(2)
 
 
+    def test_internal_results_are_normalized_like_the_constructor(self):
+        # arithmetic builds its results without the public constructor
+        f = IntPolynomial((1, -1, 2), order=4)
+        g = IntPolynomial((-1, 1, -2, 5))
+        for poly in (f + g, f * g, -f, f - f, g.truncate(2), f * IntPolynomial(())):
+            assert poly == IntPolynomial(poly.coefficients, poly.order)
+            assert all(type(c) is int for c in poly.coefficients)
+        assert (f + g).coefficients == (0, 0, 0, 5)
+        assert (g - g).coefficients == ()
+
+
 class TestRationalSeries:
+    def test_trailing_zeros_dropped_and_inputs_made_int(self):
+        series = rational_series((1, 1), (1,), 100000)
+        assert series.coefficients == (1, 1) and series.order == 99999
+        series = rational_series((True, False), (1, -True), 3)
+        assert series.coefficients == (1, 1, 1)
+        assert all(type(c) is int for c in series.coefficients)
+
+
     def test_geometric(self):
         series = rational_series((1,), (1, -2), 6)
         assert series.coefficients == (1, 2, 4, 8, 16, 32)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rackhom.cycles
 from corpus import permutation_racks, random_chain
 from rackhom.chains import Chain, DegreeTooLarge, apply_boundary
 from rackhom.closed_forms import betti
@@ -16,14 +17,18 @@ from rackhom.cycles import (
     OrbitAverageFactor,
     TerminalFactor,
     basis_recipes,
+    certified_levels,
+    chain_term_counts,
     cycle_basis,
     difference_product,
     fixed_point_square,
     independence_certificate,
+    indexed_certificate,
     orbit_average,
 )
 from rackhom.homology import is_cycle
 from rackhom.racks import (
+    FiniteRack,
     NotPermutation,
     PermutationSpec,
     as_permutation,
@@ -36,6 +41,33 @@ RACK_01_2 = permutation_rack(PermutationSpec((2, 1)))  # orbits {0,1}, {2}
 # Detection merges the monomials of each orbit, so the certificate's columns
 # share leading entries and its rank needs real column updates.
 RACK_012_3 = permutation_rack(PermutationSpec((3, 1)))  # orbits {0,1,2}, {3}
+
+
+def relabeled(rack: FiniteRack, seed: int) -> FiniteRack:
+    """The isomorphic permutation rack with every x renamed σ(x), for a σ
+    drawn from the seed, so the cycles no longer run in id order."""
+    sigma = list(range(rack.size))
+    random.Random(seed).shuffle(sigma)
+    row = [0] * rack.size
+    for x, y in enumerate(as_permutation(rack)):
+        row[sigma[x]] = sigma[y]
+    return FiniteRack((tuple(row),) * rack.size)
+
+
+def indexed(chain: Chain, size: int) -> dict[int, int]:
+    """The chain keyed by lexicographic monomial index."""
+    keys = {}
+    for mono, coeff in chain.terms():
+        index = 0
+        for v in mono:
+            index = index * size + v
+        keys[index] = coeff
+    return keys
+
+
+# Orbits of size 1, 2, 3 and 4, relabeled.
+ORACLE_RACKS = [relabeled(rack, seed) for seed, rack in enumerate(permutation_racks(4))]
+ORACLE_RACKS.append(relabeled(permutation_rack(PermutationSpec((3, 2, 1))), 99))
 
 
 class TestDifferenceProduct:
@@ -241,3 +273,78 @@ class TestIndependenceCertificate:
         basis = cycle_basis(RACK_012_3, 5)
         dependent = basis + [basis[1] + basis[-1]]
         assert independence_certificate(RACK_012_3, dependent) == (len(basis), False)
+
+
+class TestCertifiedLevels:
+    def test_every_level_matches_the_recipe_oracles(self):
+        for rack in ORACLE_RACKS:
+            for level in certified_levels(rack, 5):
+                recipes = basis_recipes(rack, level.degree)
+                assert [r.describe() for r in level.recipes] == [r.describe() for r in recipes]
+                evaluated = [recipe.evaluate() for recipe in recipes]
+                assert cycle_basis(rack, level.degree) == evaluated
+                certificate = independence_certificate(rack, evaluated)
+                assert (level.rank, level.independent) == certificate == (len(recipes), True)
+
+    def test_dependent_sets_are_reported(self):
+        for rack in (RACK_012_3, ORACLE_RACKS[-1]):
+            basis = cycle_basis(rack, 4)
+            for chains in (
+                basis + [basis[1] + basis[-1]],
+                basis + [3 * basis[2] - basis[0]],
+                [basis[0], basis[0]],
+                [basis[0], Chain.zero(4)],
+            ):
+                certificate = indexed_certificate(rack, 4, [indexed(c, rack.size) for c in chains])
+                assert certificate == independence_certificate(rack, chains)
+                assert certificate[1] is False
+
+    def test_terms_cancelling_under_detection(self):
+        # 0 and 1 share an orbit, so (3,3,3,0) - (3,3,3,1) detects to 0, at
+        # the highest orbit tuple of the first chain
+        chains = [
+            Chain(4, {(3, 3, 3, 0): 1, (3, 3, 3, 1): -1, (0, 0, 0, 0): 2}),
+            Chain.monomial((0, 0, 0, 0)),
+            Chain(4, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1}),
+        ]
+        certificate = indexed_certificate(RACK_012_3, 4, [indexed(c, 4) for c in chains])
+        assert certificate == independence_certificate(RACK_012_3, chains) == (1, False)
+
+    def test_chain_terms_follow_the_recursion(self):
+        for rack in ORACLE_RACKS:
+            counts = chain_term_counts(rack.size, PermutationSpec.from_rack(rack).r, 5)
+            for n in range(6):
+                assert sum(map(len, cycle_basis(rack, n))) == counts[n]
+        fixed_4 = permutation_rack(PermutationSpec((1, 1, 1, 1)))
+        assert chain_term_counts(4, 4, 6)[6] == 53056
+        assert sum(map(len, cycle_basis(fixed_4, 6))) == 53056
+
+    def test_cap_errors_come_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran past the cap")
+
+        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        swap = permutation_rack(PermutationSpec((2,)))
+        fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
+        with pytest.raises(DegreeTooLarge, match=r"^2\^4 exceeds the cap of 10$"):
+            certified_levels(swap, 4, cap=10)
+        with pytest.raises(DegreeTooLarge, match=r"^3\^3 exceeds the cap of 26$"):
+            certified_levels(fixed_3, 13, cap=26)
+        terms = r"^3226767 cycle chain terms exceed the cap of 1000000$"
+        with pytest.raises(DegreeTooLarge, match=terms):
+            certified_levels(fixed_3, 10)
+        with pytest.raises(DegreeTooLarge, match=terms):
+            cycle_basis(fixed_3, 10)
+        with pytest.raises(DegreeTooLarge, match=r"^1491 cycle chain terms exceed the cap of 1000$"):
+            certified_levels(fixed_3, 5, cap=1000)
+
+    def test_work_at_the_cap_runs(self):
+        fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
+        levels = list(certified_levels(fixed_3, 5, cap=1491))
+        assert [level.rank for level in levels] == [3 ** n for n in range(6)]
+
+    def test_rejects_non_permutation_before_the_cap(self):
+        with pytest.raises(NotPermutation):
+            certified_levels(dihedral_rack(3), 20, cap=1)
+

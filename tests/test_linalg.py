@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rackhom.linalg import (
     SparseIntMatrix,
     _Eliminator,
+    column_rank,
     determinant,
     diagonal,
     matmul,
@@ -344,6 +345,32 @@ class TestRationalRank:
             matrix = dense(rows)
             assert (rational_rank(matrix) == n) == (determinant(matrix) != 0)
             assert (determinant(matrix) == 0) == singular
+
+
+class TestColumnRank:
+    def test_matches_the_matrix_wrapper_on_sparse_row_keys(self):
+        # Rows renamed by an increasing map keep their order, which is all
+        # the reduction reads; zero columns are allowed in the column form.
+        rng = random.Random(17)
+        for _ in range(40):
+            row_count = rng.randint(1, 10)
+            cols = [
+                {i: rng.choice([-4, -2, -1, 1, 3, 6]) for i in range(row_count) if rng.random() < 0.35}
+                for _ in range(rng.randint(1, 9))
+            ]
+            cols.append(dict(rng.choice(cols)))
+            matrix = SparseIntMatrix(row_count, len(cols), {
+                (i, j): v for j, col in enumerate(cols) for i, v in col.items()
+            })
+            renamed = [{1000 * i + 7: v for i, v in col.items()} for col in cols]
+            rank = column_rank(iter(renamed))
+            assert rank == rational_rank(matrix) == smith_normal_form(matrix).rank
+            rng.shuffle(cols)
+            assert column_rank(cols) == rank
+
+    def test_empty(self):
+        assert column_rank([]) == 0
+        assert column_rank([{}, {}]) == 0
 
 
 class TestRankModPrime:
