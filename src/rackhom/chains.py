@@ -215,19 +215,34 @@ def _rank_of(mono: Monomial, size: int) -> int:
 
 
 def boundary_columns(
-    rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP, skip: Container[int] = ()
+    rack: FiniteRack,
+    n: int,
+    cap: int = DEFAULT_BASIS_CAP,
+    skip: Container[int] = (),
+    starts: Iterable[int] | None = None,
 ) -> dict[int, dict[int, int]]:
     """The nonzero columns of d_n as {col: {row: coeff}}, against the
-    lexicographic bases, leaving out the columns in skip.
+    lexicographic bases, leaving out the columns in skip, or keeping only
+    the columns whose first entry is in starts.
 
     Indices are read as base-size digits, so no monomial is ever built.
     Column J = head·size^(L+1) + x_k·size^L + tail, with L = n - k, has the
     terms ±(head·size^L + tail) and ∓(head·size^L + act[L][x_k][tail]),
     where act[L][x][t] is the index of x▷t applied digitwise to a tail of
-    L digits.
+    L digits.  The columns that start with x are the block of indices
+    x·size^(n-1) .. (x+1)·size^(n-1) - 1, so starts picks whole blocks.
+
+    For a start set S (`racks.start_set`), the columns that start in S
+    span the same lattice as all of d_n: d(t·u) = u - t▷u - t·d(u), so
+    d(u) = d(t▷u) + d(t·d(u)), where t·d(u) starts with t, and induction
+    on the moves t▷(-), t in S, that take u's first entry into S does the
+    rest.  Each of skip and starts keeps the Smith form on its own; the
+    two together do not, so they cannot be combined.
     """
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
+    if skip and starts is not None:
+        raise ValueError("skip and starts cannot be combined")
     size = rack.size
     _check_cap(size, n, cap)
     powers = [size ** L for L in range(n + 1)]
@@ -242,8 +257,11 @@ def boundary_columns(
         (powers[n - k + 1], powers[n - k], act[n - k], 1 if k % 2 else -1)
         for k in range(1, n)
     ]
+    heads = range(size) if starts is None else sorted(starts)
+    tails = powers[n - 1]
     columns: dict[int, dict[int, int]] = {}
-    for col in range(powers[n]):
+    indices = (j for x in heads for j in range(x * tails, (x + 1) * tails))
+    for col in indices:
         if col in skip:
             continue
         terms: dict[int, int] = {}

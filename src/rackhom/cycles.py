@@ -306,21 +306,49 @@ def chain_term_counts(size: int, r: int, max_degree: int) -> list[int]:
     return counts[: max_degree + 1]
 
 
-def _check_cycle_work(rack: FiniteRack, max_degree: int, cap: int) -> None:
+def recipe_factor_counts(r: int, max_degree: int) -> list[int]:
+    """F_0..F_max_degree, the total number of factors of the basis recipes
+    of each degree on a permutation rack with r orbits.
+
+    A recipe of degree n >= 2 is one factor in front of a recipe of degree
+    n-1 ((q - q*), r-1 choices) or n-2 (avg(t), r choices), so with b_n
+    recipes of degree n (b_0 = 1, b_1 = r, b_n = (r-1)·b_{n-1} + r·b_{n-2}),
+    F_0 = 0, F_1 = r and F_n = (r-1)·(b_{n-1} + F_{n-1}) + r·(b_{n-2} + F_{n-2}).
+    """
+    recipes, factors = [1, r], [0, r]
+    while len(factors) <= max_degree:
+        factors.append((r - 1) * (recipes[-1] + factors[-1]) + r * (recipes[-2] + factors[-2]))
+        recipes.append((r - 1) * recipes[-1] + r * recipes[-2])
+    return factors[: max_degree + 1]
+
+
+def _check_cycle_work(
+    rack: FiniteRack, max_degree: int, cap: int, recipes: bool = False
+) -> None:
     """Raise DegreeTooLarge unless the basis of every degree 0..max_degree
     fits the cap: |X|^n for each n, smallest first, then the number of
-    chain terms of the top degree."""
+    chain terms of the top degree, then, with recipes, the number of recipe
+    factors of all the degrees, which the recipes' tuples and text grow
+    with."""
     phi = _require_permutation(rack)
     if max_degree < 0:
         raise ValueError("negative degree")
     size = rack.size
-    for n in range(max_degree + 1):
+    # with |X| >= 2, |X|^n passes the cap by n = cap.bit_length()
+    for n in range(min(max_degree, cap.bit_length()) + 1):
         if size ** n > cap:
             raise DegreeTooLarge(f"{size}^{n} exceeds the cap of {cap}")
-    r = len(orbit_decomposition(phi).orbits)
-    terms = chain_term_counts(size, r, max_degree)[-1]
+    if size == 1:
+        # one chain term and ⌈n/2⌉ recipe factors in every degree n
+        terms, factors = 1, (max_degree + 1) ** 2 // 4
+    else:
+        r = len(orbit_decomposition(phi).orbits)
+        terms = chain_term_counts(size, r, max_degree)[-1]
+        factors = sum(recipe_factor_counts(r, max_degree))
     if terms > cap:
         raise DegreeTooLarge(f"{terms} cycle chain terms exceed the cap of {cap}")
+    if recipes and factors > cap:
+        raise DegreeTooLarge(f"{factors} cycle recipe factors exceed the cap of {cap}")
 
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
@@ -362,10 +390,11 @@ def certified_levels(
 ) -> Iterator[CertifiedLevel]:
     """The certified basis of degrees 0..max_degree, one level at a time.
 
-    The cap is checked for every degree (`_check_cycle_work`) when this is
-    called, before any level is built.
+    The cap is checked for every degree, and for the number of recipe
+    factors (`_check_cycle_work`), when this is called, before any level
+    is built.
     """
-    _check_cycle_work(rack, max_degree, cap)
+    _check_cycle_work(rack, max_degree, cap, recipes=True)
     return _certify(rack, max_degree)
 
 

@@ -5,14 +5,19 @@ dim CR_n - rank(d_n) - rank(d_{n+1}) and the torsion consists of the
 elementary divisors of d_{n+1} that exceed 1.  No kernel basis is ever
 constructed.
 
-`homology_table` reduces the boundaries from the top down and clears
-(Chen & Kerber's twist, over Z): every ±1 pivot of the first round of
-d_{n+1}, taken while that round's content is 1, names a column of d_n that
-is an integer combination of the columns kept, so d_n is built without
-those columns and its Smith form does not change.  Pivots ±c with c > 1,
-and those of the full elimination's fallback step, are never cleared; the
-lemma is in `linalg.smith_reduce`.  `rack_homology` reduces its two
-boundaries whole, with no clearing, and is the oracle for the table.
+`homology_table` reduces the boundaries from the top down.  The top one,
+d_{N+1}, is built from the columns whose first entry lies in a start set
+(`racks.start_set`): they span the same lattice as all of d_{N+1}, so its
+Smith form does not change (the lemma is in `chains.boundary_columns`).
+Each lower d_n is cleared (Chen & Kerber's twist, over Z): every ±1 pivot
+of the first round of d_{n+1}, taken while that round's content is 1,
+names a column of d_n that is an integer combination of the columns kept,
+so d_n is built without those columns and its Smith form does not change.
+That lemma, in `linalg.smith_reduce`, holds for any input columns that lie
+in Im d_{n+1}, so it holds for the start-set columns of the top one too.
+Pivots ±c with c > 1, and those of the full elimination's fallback step,
+are never cleared.  `rack_homology` reduces its two boundaries whole, with
+no start set and no clearing, and is the oracle for the table.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .chains import (
     _rank_of,
 )
 from .linalg import SparseIntMatrix, rational_rank, smith_normal_form, smith_reduce
-from .racks import FiniteRack
+from .racks import FiniteRack, start_set
 
 
 class NotACycle(ValueError):
@@ -85,8 +90,13 @@ def homology_table(
     per call, top down, and keeps nothing between calls.
 
     Every d_n is checked against the cap, smallest n first, before any is
-    built.  d_n is built without the columns that d_{n+1}'s reduction
-    clears, which leaves its rank and divisors as they are.
+    built.  The top boundary is built from the columns that start in
+    `racks.start_set`, and each lower d_n without the columns that
+    d_{n+1}'s reduction clears; either leaves the rank and divisors as they
+    are.  Clearing needs only that the columns reduced lie in Im d_{n+1},
+    which the start-set columns do.  No boundary drops columns by both
+    rules: each rule keeps a set that spans, and what the two keep
+    together need not.
     """
     size = rack.size
     top = max_degree + 1
@@ -95,7 +105,11 @@ def homology_table(
     torsion: list[tuple[int, ...]] = [()] * (top + 2)
     cleared: set[int] = set()
     for n in range(top, 1, -1):
-        divisors, cleared = smith_reduce(boundary_columns(rack, n, cap, cleared))
+        if n == top:
+            columns = boundary_columns(rack, n, cap, starts=start_set(rack))
+        else:
+            columns = boundary_columns(rack, n, cap, cleared)
+        divisors, cleared = smith_reduce(columns)
         ranks[n] = len(divisors)
         torsion[n] = tuple(d for d in divisors if d > 1)
     return [
@@ -110,14 +124,15 @@ def is_cycle(rack: FiniteRack, c: Chain) -> bool:
 
 def is_rational_boundary(rack: FiniteRack, c: Chain, cap: int = DEFAULT_BASIS_CAP) -> bool:
     """Whether the cycle c bounds over the rationals: appending c as a column
-    to d_{n+1} must not raise the rank."""
+    to d_{n+1} must not raise the rank.  Only the columns of d_{n+1} that
+    start in `racks.start_set` are ranked; they span the same lattice."""
     if not is_cycle(rack, c):
         raise NotACycle(str(c))
     if not c:
         return True
     size = rack.size
     rows, extra = size ** c.degree, size ** (c.degree + 1)
-    columns = boundary_columns(rack, c.degree + 1, cap)
+    columns = boundary_columns(rack, c.degree + 1, cap, starts=start_set(rack))
     entries = {(i, j): v for j, col in columns.items() for i, v in col.items()}
     cycle = {(_rank_of(mono, size), extra): coeff for mono, coeff in c.terms()}
     stacked = SparseIntMatrix(rows, extra + 1, {**entries, **cycle})

@@ -28,12 +28,12 @@ the ±1 round leaves finishes the reduction without that step.  With
 transforms, the full eliminator runs alone; it is the oracle for the sweep.
 
 `smith_reduce` also returns the rows of the ±1 pivots its first round
-takes when that round's content is 1.  Reducing d_{n+1} first, `homology`
-leaves those columns out of d_n: each is an integer combination of the
-columns kept, so the Smith form of d_n does not change.  This is the
-clearing (or twist) of persistent homology (Chen & Kerber; Bauer, Kerber
-& Reininghaus), which over Z needs the pivots to be units; the lemma is in
-the docstring of `smith_reduce`.
+takes when that round's content is 1.  Reducing d_{n+1} (or any columns
+of it) first, `homology` leaves those columns out of d_n: each is an
+integer combination of the columns kept, so the Smith form of d_n does not
+change.  This is the clearing (or twist) of persistent homology (Chen &
+Kerber; Bauer, Kerber & Reininghaus), which over Z needs the pivots to be
+units; the lemma is in the docstring of `smith_reduce`.
 """
 
 from __future__ import annotations
@@ -391,19 +391,20 @@ def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], s
     content is 1, and none otherwise.  Up to that point only row operations
     have run, so each such pivot is a ±1 entry, at row i, of a Schur
     complement column v: an integer combination of the input columns that
-    is zero on the rows pivoted before i.  If the input is d_{n+1}, then v
-    lies in Im d_{n+1} ⊆ ker d_n, so d_n(e_i) = ∓ the sum of v's other
-    entries times the columns of d_n at their rows, all of them rows not
-    yet pivoted.  Going back from the last pivot, every cleared column of
-    d_n is an integer combination of the columns that are never pivot rows
-    here, so dropping them leaves the image lattice of d_n, and with it its
-    Smith form, unchanged.  That is the unit-pivot condition: only ±1
-    pivots taken by row operations alone are returned.  (A later round of
-    content c would also do, since v/c is then integral and lies in ker d_n,
-    a kernel being saturated, but those pivots are few and are not
-    returned.)  A step of the full elimination adds later rows into its
-    pivot row and uses column operations, so no row is returned from it or
-    from any round after it.
+    is zero on the rows pivoted before i.  If every input column lies in
+    Im d_{n+1} (all of d_{n+1}, or only some of its columns, such as those
+    that start in a start set), then so does v, and Im d_{n+1} ⊆ ker d_n
+    gives d_n(e_i) = ∓ the sum of v's other entries times the columns of
+    d_n at their rows, all of them rows not yet pivoted.  Going back from
+    the last pivot, every cleared column of d_n is an integer combination
+    of the columns that are never pivot rows here, so dropping them leaves
+    the image lattice of d_n, and with it its Smith form, unchanged.  That
+    is the unit-pivot condition: only ±1 pivots taken by row operations
+    alone are returned.  (A later round of content c would also do, since
+    v/c is then integral and lies in ker d_n, a kernel being saturated, but
+    those pivots are few and are not returned.)  A step of the full
+    elimination adds later rows into its pivot row and uses column
+    operations, so no row is returned from it or from any round after it.
     """
     elim = _Eliminator(columns)
     divisors: list[int] = []

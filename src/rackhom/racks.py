@@ -182,6 +182,54 @@ def dihedral_rack(n: int) -> FiniteRack:
     )
 
 
+def start_set(rack: FiniteRack) -> tuple[int, ...]:
+    """A start set S, sorted: every element reaches S through the maps t▷(-)
+    with t in S, so it lies on an orbit of ⟨t▷ : t in S⟩ that meets S.
+
+    Chosen greedily: each step adds the element that leaves the fewest
+    elements unreached, the smaller label on a tie, until none is.  The
+    orbits are tracked by union-find, at O(|X|) per candidate, so the whole
+    choice costs O(|X|²·|S|).  A permutation rack gets the smallest
+    element of each φ-orbit; a dihedral rack of three or more elements
+    gets two.
+
+    >>> start_set(FiniteRack(((0, 2, 1), (2, 1, 0), (1, 0, 2))))
+    (0, 1)
+    """
+    size, table = rack.size, rack.table
+    parent = list(range(size))
+    chosen: list[int] = []
+    unreached = size
+    while unreached:
+        best = None
+        for s in range(size):
+            if s in chosen:
+                continue
+            trial = parent.copy()
+            for x, y in enumerate(table[s]):
+                _union(trial, x, y)
+            roots = {_find(trial, t) for t in chosen + [s]}
+            left = sum(1 for x in range(size) if _find(trial, x) not in roots)
+            if best is None or left < best[0]:
+                best = (left, s, trial)
+        unreached, s, parent = best
+        chosen.append(s)
+    return tuple(sorted(chosen))
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[max(rx, ry)] = min(rx, ry)
+
+
 def as_permutation(rack: FiniteRack) -> Optional[tuple[int, ...]]:
     """The permutation φ with x ▷ y = φ(y), or None if rows differ."""
     first = rack.table[0]

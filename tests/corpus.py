@@ -50,6 +50,18 @@ def mixed_racks(max_size: int) -> list[FiniteRack]:
     return racks
 
 
+def relabeled_rack(rack: FiniteRack, seed: int) -> FiniteRack:
+    """The isomorphic rack with every x renamed σ(x), for a σ drawn from the
+    seed: T'[σx][σy] = σ(T[x][y])."""
+    sigma = list(range(rack.size))
+    random.Random(seed).shuffle(sigma)
+    table = [[0] * rack.size for _ in range(rack.size)]
+    for x, row in enumerate(rack.table):
+        for y, v in enumerate(row):
+            table[sigma[x]][sigma[y]] = sigma[v]
+    return FiniteRack(tuple(map(tuple, table)))
+
+
 def random_chain(
     rng: random.Random,
     rack: FiniteRack,

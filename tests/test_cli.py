@@ -160,6 +160,38 @@ class TestErrorMapping:
             assert time.perf_counter() - start < 1.0
             assert (code, out, err) == (2, "", f"DegreeTooLarge: {message}\n")
 
+    def test_recipe_factor_cap_fails_fast_on_a_one_element_rack(
+        self, capsys, rack_file, monkeypatch
+    ):
+        # |X|^n = T_n = 1 there, so only the recipes grow: ⌈n/2⌉ factors in
+        # degree n, a text quadratic in the degree (2.0 s and 12.5 MB at 2000)
+        path = rack_file({"kind": "permutation", "cycles": [[0]]})
+        code, out, err = run_cli(
+            capsys, "cycles", "--input", path, "--max-degree", "19", "--basis-cap", "100"
+        )
+        assert (code, err) == (0, "")  # 100 factors, exactly the cap
+        assert out.splitlines()[-2] == "B_19: " + "avg(0)·" * 9 + "(0)"
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran past the cap")
+
+        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
+        for command, degree, cap, factors in (
+            ("cycles", "20", "100", 110),
+            ("cycles", "2000", "1000000", 1001000),
+            ("verify", "2000", "1000000", 1001000),
+            ("cycles", "1000000000", "1000000", 250000000500000000),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys, command, "--input", path, "--max-degree", degree, "--basis-cap", cap
+            )
+            assert time.perf_counter() - start < 1.0, (command, degree)
+            assert (code, out) == (2, "")
+            assert err == f"DegreeTooLarge: {factors} cycle recipe factors exceed the cap of {cap}\n"
+
     def test_betti_numbers_too_long_to_print_fail_fast(self, capsys, rack_file):
         if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
             pytest.skip("needs the default int-to-str digit limit of Python >= 3.10.7")

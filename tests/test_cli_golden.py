@@ -39,6 +39,7 @@ INPUTS = {
     ),
     "swap": json.dumps({"kind": "permutation", "cycles": [[0, 1]]}),
     "perm_fixed_3": json.dumps({"kind": "permutation", "cycles": [[0], [1], [2]]}),
+    "one_point": json.dumps({"kind": "permutation", "cycles": [[0]]}),
     "perm_many_free": json.dumps(
         {"kind": "permutation", "cycles": [[0]], "free_orbits": 1000000}
     ),
@@ -87,6 +88,7 @@ ERROR_CASES = [
     ("betti", "perm_many_free", ["--max-degree", "1000"]),
     ("e2", "perm_many_free", ["--max-degree", "1000"]),
     ("cycles", "perm_fixed_3", ["--max-degree", "10"]),
+    ("cycles", "one_point", ["--max-degree", "2000"]),
 ]
 
 

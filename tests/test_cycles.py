@@ -25,6 +25,7 @@ from rackhom.cycles import (
     independence_certificate,
     indexed_certificate,
     orbit_average,
+    recipe_factor_counts,
 )
 from rackhom.homology import is_cycle
 from rackhom.racks import (
@@ -338,6 +339,32 @@ class TestCertifiedLevels:
             cycle_basis(fixed_3, 10)
         with pytest.raises(DegreeTooLarge, match=r"^1491 cycle chain terms exceed the cap of 1000$"):
             certified_levels(fixed_3, 5, cap=1000)
+
+    def test_recipe_factors_follow_the_recursion(self):
+        for rack in ORACLE_RACKS + [permutation_rack(PermutationSpec((1,)))]:
+            counts = recipe_factor_counts(PermutationSpec.from_rack(rack).r, 6)
+            for n in range(7):
+                assert sum(len(recipe.factors) for recipe in basis_recipes(rack, n)) == counts[n]
+
+    def test_recipe_factors_are_held_to_the_cap(self, monkeypatch):
+        fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
+        one = permutation_rack(PermutationSpec((1,)))
+        # degrees 0..4 of perm (1,1,1): 321 chain terms on top, 342 factors
+        assert len(list(certified_levels(fixed_3, 4, cap=342))) == 5
+        assert len(cycle_basis(fixed_3, 4, cap=341)) == 81  # builds no recipe
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran past the cap")
+
+        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        with pytest.raises(DegreeTooLarge, match=r"^342 cycle recipe factors exceed the cap of 341$"):
+            certified_levels(fixed_3, 4, cap=341)
+        # the one-element rack takes ⌈n/2⌉ factors in degree n in closed form
+        for degree in (2, 7, 30, 31):
+            factors = sum(recipe_factor_counts(1, degree))
+            with pytest.raises(DegreeTooLarge, match=rf"^{factors} cycle recipe factors"):
+                certified_levels(one, degree, cap=factors - 1)
 
     def test_work_at_the_cap_runs(self):
         fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))

@@ -1,10 +1,19 @@
 """Brute-force homology groups and cycle predicates."""
 
+import random
+
 import pytest
 
 import rackhom.homology
-from corpus import mixed_racks, permutation_racks
-from rackhom.chains import Chain, DegreeTooLarge, boundary_matrix
+from corpus import mixed_racks, permutation_racks, random_chain, relabeled_rack
+from rackhom.chains import (
+    Chain,
+    DegreeTooLarge,
+    apply_boundary,
+    boundary_columns,
+    boundary_matrix,
+)
+from rackhom.cycles import cycle_basis
 from rackhom.homology import (
     HomologyGroup,
     NotACycle,
@@ -24,7 +33,9 @@ from rackhom.racks import (
     FiniteRack,
     PermutationSpec,
     dihedral_rack,
+    orbit_decomposition,
     permutation_rack,
+    start_set,
     trivial_rack,
 )
 
@@ -142,22 +153,117 @@ def alexander_quandle(m: int, t: int) -> FiniteRack:
     return FiniteRack(tuple(tuple((t * y + (1 - t) * x) % m for y in range(m)) for x in range(m)))
 
 
+ALEXANDER = ((4, 3), (8, 3), (9, 2))
+
 TABLE_CASES = (
     [pytest.param(rack, 4, id=f"mixed-{i}") for i, rack in enumerate(mixed_racks(4))]
     + [pytest.param(dihedral_rack(k), 3, id=f"dihedral-{k}") for k in (3, 5, 6, 7)]
     + [
         pytest.param(alexander_quandle(m, t), 3, id=f"alexander-{m}-{t}")
-        for m, t in ((4, 3), (8, 3), (9, 2))
+        for m, t in ALEXANDER
+    ]
+    # relabeled, so that the start set is no longer {0, 1}
+    + [
+        pytest.param(relabeled_rack(dihedral_rack(k), k), 3, id=f"dihedral-{k}-relabeled")
+        for k in (4, 5, 6, 7, 8)
+    ]
+    + [
+        pytest.param(
+            relabeled_rack(alexander_quandle(m, t), m), 3, id=f"alexander-{m}-{t}-relabeled"
+        )
+        for m, t in ((8, 3), (9, 2))
     ]
 )
 
 
 @pytest.mark.parametrize(("rack", "max_degree"), TABLE_CASES)
 def test_table_matches_each_degree_reduced_whole(rack, max_degree):
-    # rack_homology reduces d_n and d_{n+1} whole, with no column cleared;
-    # the Alexander quandles bring Z/2, Z/8 and Z/3 torsion
+    # rack_homology reduces d_n and d_{n+1} whole, with no start set and no
+    # column cleared; the Alexander quandles bring Z/2, Z/8 and Z/3 torsion
     oracle = [rack_homology(rack, n) for n in range(max_degree + 1)]
     assert homology_table(rack, max_degree) == oracle
+
+
+def reaches(rack: FiniteRack, starts: tuple[int, ...]) -> set[int]:
+    """The elements that some sequence of moves t▷(-), t in starts, takes
+    into starts, found by growing the set backwards from starts."""
+    reached = set(starts)
+    grown = True
+    while grown:
+        grown = False
+        for x in range(rack.size):
+            if x not in reached and any(rack.op(t, x) in reached for t in starts):
+                reached.add(x)
+                grown = True
+    return reached
+
+
+START_SET_RACKS = (
+    mixed_racks(5)
+    + [dihedral_rack(k) for k in range(3, 9)]
+    + [alexander_quandle(m, t) for m, t in ALEXANDER]
+    + [relabeled_rack(dihedral_rack(k), seed) for k in (4, 5, 6, 8) for seed in range(3)]
+    + [relabeled_rack(alexander_quandle(m, t), seed) for m, t in ALEXANDER for seed in range(3)]
+)
+
+
+class TestStartSet:
+    def test_every_element_reaches_the_start_set(self):
+        for rack in START_SET_RACKS:
+            assert reaches(rack, start_set(rack)) == set(range(rack.size)), rack
+
+    def test_one_element_per_orbit_on_permutation_racks(self):
+        for rack in permutation_racks(6):
+            orbits = orbit_decomposition(rack.table[0]).orbits
+            assert start_set(rack) == tuple(sorted(orbit[0] for orbit in orbits))
+
+    def test_two_elements_on_relabeled_dihedral_and_alexander_racks(self):
+        racks = [dihedral_rack(k) for k in (4, 5, 6, 7, 8)]
+        racks += [alexander_quandle(m, t) for m, t in ((8, 3), (9, 2))]
+        for rack in racks:
+            for seed in range(30):
+                assert len(start_set(relabeled_rack(rack, seed))) == 2, (rack, seed)
+
+    def test_start_set_columns_keep_the_smith_form(self, boundary_forms):
+        # the fixture's racks and degrees: mixed_racks(4) d_2 .. d_5,
+        # dihedral 5 d_2 .. d_4 and dihedral 4 d_6
+        for rack, n, _, form in boundary_forms:
+            divisors, _ = smith_reduce(boundary_columns(rack, n, starts=start_set(rack)))
+            assert divisors == form.divisors, (rack, n)
+
+    @pytest.mark.parametrize(
+        "rack",
+        [pytest.param(dihedral_rack(k), id=f"dihedral-{k}") for k in (3, 6, 7)]
+        + [pytest.param(alexander_quandle(m, t), id=f"alexander-{m}-{t}") for m, t in ALEXANDER]
+        + [
+            pytest.param(relabeled_rack(dihedral_rack(k), k), id=f"dihedral-{k}-relabeled")
+            for k in (5, 6, 7)
+        ]
+        + [
+            pytest.param(
+                relabeled_rack(alexander_quandle(m, t), m), id=f"alexander-{m}-{t}-relabeled"
+            )
+            for m, t in ALEXANDER
+        ],
+    )
+    def test_start_set_columns_keep_the_smith_form_with_torsion(self, rack):
+        for n in (2, 3, 4):
+            whole = smith_normal_form(boundary_matrix(rack, n)).divisors
+            divisors, _ = smith_reduce(boundary_columns(rack, n, starts=start_set(rack)))
+            assert divisors == whole, n
+
+    def test_a_set_that_misses_an_orbit_loses_rank(self):
+        # {0} never reaches the orbit {3, 4} of perm (3, 2): the columns
+        # that start with 0 span less than d_3 and d_4, so the check can fail
+        rack = permutation_rack(PermutationSpec((3, 2)))
+        for n in (3, 4):
+            whole = smith_normal_form(boundary_matrix(rack, n)).rank
+            divisors, _ = smith_reduce(boundary_columns(rack, n, starts={0}))
+            assert len(divisors) < whole, n
+
+    def test_start_set_and_skip_are_not_combined(self):
+        with pytest.raises(ValueError, match="cannot be combined"):
+            boundary_columns(dihedral_rack(3), 3, skip={0}, starts=(0, 1))
 
 
 def prime_factors(n: int) -> set[int]:
@@ -264,3 +370,29 @@ class TestIsRationalBoundary:
         rack = permutation_rack(PermutationSpec((2,)))
         with pytest.raises(NotACycle):
             is_rational_boundary(rack, Chain.monomial((0, 1)))
+
+    @pytest.mark.parametrize("rack", [
+        relabeled_rack(dihedral_rack(4), 1),
+        relabeled_rack(alexander_quandle(8, 3), 2),
+        relabeled_rack(permutation_rack(PermutationSpec((2, 2, 1))), 3),
+    ])
+    def test_relabeled_racks_match_the_whole_boundary(self, rack):
+        # whole-boundary oracle: does c raise the rank of all of d_{n+1}?
+        def bounds(c):
+            matrix = boundary_matrix(rack, c.degree + 1)
+            extra = {(sum(v * rack.size ** k for k, v in enumerate(reversed(mono))),
+                      matrix.col_count): coeff for mono, coeff in c.terms()}
+            stacked = SparseIntMatrix(
+                matrix.row_count, matrix.col_count + 1, {**matrix.entries, **extra}
+            )
+            return rational_rank(stacked) == rational_rank(matrix)
+
+        rng = random.Random(rack.size)
+        cycles = [Chain(1, {(x,): 1, (y,): -1}) for x in range(rack.size) for y in range(x)]
+        cycles += [apply_boundary(rack, random_chain(rng, rack, 3)) for _ in range(10)]
+        if len(set(rack.table)) == 1:
+            basis = cycle_basis(rack, 2)
+            cycles += basis + [b + apply_boundary(rack, random_chain(rng, rack, 3)) for b in basis]
+        answers = [is_rational_boundary(rack, c) for c in cycles]
+        assert answers == [bounds(c) for c in cycles]
+        assert True in answers and False in answers
