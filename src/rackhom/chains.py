@@ -218,12 +218,12 @@ def boundary_columns(
     rack: FiniteRack,
     n: int,
     cap: int = DEFAULT_BASIS_CAP,
-    skip: Container[int] = (),
     starts: Iterable[int] | None = None,
+    drop_rows: Container[int] = (),
 ) -> dict[int, dict[int, int]]:
     """The nonzero columns of d_n as {col: {row: coeff}}, against the
-    lexicographic bases, leaving out the columns in skip, or keeping only
-    the columns whose first entry is in starts.
+    lexicographic bases, keeping only the columns whose first entry is in
+    starts and leaving out the rows in drop_rows.
 
     Indices are read as base-size digits, so no monomial is ever built.
     Column J = head·size^(L+1) + x_k·size^L + tail, with L = n - k, has the
@@ -236,13 +236,11 @@ def boundary_columns(
     span the same lattice as all of d_n: d(t·u) = u - t▷u - t·d(u), so
     d(u) = d(t▷u) + d(t·d(u)), where t·d(u) starts with t, and induction
     on the moves t▷(-), t in S, that take u's first entry into S does the
-    rest.  Each of skip and starts keeps the Smith form on its own; the
-    two together do not, so they cannot be combined.
+    rest.  Dropping rows projects that lattice, so it combines with starts;
+    `linalg.smith_reduce` names rows whose dropping keeps the Smith form.
     """
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
-    if skip and starts is not None:
-        raise ValueError("skip and starts cannot be combined")
     size = rack.size
     _check_cap(size, n, cap)
     powers = [size ** L for L in range(n + 1)]
@@ -262,8 +260,6 @@ def boundary_columns(
     columns: dict[int, dict[int, int]] = {}
     indices = (j for x in heads for j in range(x * tails, (x + 1) * tails))
     for col in indices:
-        if col in skip:
-            continue
         terms: dict[int, int] = {}
         for block, width, moves, sign in faces:
             head, rest = divmod(col, block)
@@ -273,8 +269,8 @@ def boundary_columns(
             if moved != tail:
                 terms[base + tail] = terms.get(base + tail, 0) + sign
                 terms[base + moved] = terms.get(base + moved, 0) - sign
-        if 0 in terms.values():
-            terms = {row: coeff for row, coeff in terms.items() if coeff}
+        if drop_rows or 0 in terms.values():
+            terms = {row: coeff for row, coeff in terms.items() if coeff and row not in drop_rows}
         if terms:
             columns[col] = terms
     return columns

@@ -5,19 +5,16 @@ dim CR_n - rank(d_n) - rank(d_{n+1}) and the torsion consists of the
 elementary divisors of d_{n+1} that exceed 1.  No kernel basis is ever
 constructed.
 
-`homology_table` reduces the boundaries from the top down.  The top one,
-d_{N+1}, is built from the columns whose first entry lies in a start set
-(`racks.start_set`): they span the same lattice as all of d_{N+1}, so its
-Smith form does not change (the lemma is in `chains.boundary_columns`).
-Each lower d_n is cleared (Chen & Kerber's twist, over Z): every ±1 pivot
-of the first round of d_{n+1}, taken while that round's content is 1,
-names a column of d_n that is an integer combination of the columns kept,
-so d_n is built without those columns and its Smith form does not change.
-That lemma, in `linalg.smith_reduce`, holds for any input columns that lie
-in Im d_{n+1}, so it holds for the start-set columns of the top one too.
-Pivots ±c with c > 1, and those of the full elimination's fallback step,
-are never cleared.  `rack_homology` reduces its two boundaries whole, with
-no start set and no clearing, and is the oracle for the table.
+`homology_table` reduces d_2 .. d_{N+1} from the bottom up, each built
+from the columns whose first entry lies in a start set (`racks.start_set`):
+they span the same lattice as all of d_n (the lemma is in
+`chains.boundary_columns`).  Each d_n is built without the rows named by
+the ±1 pivot columns that the first round of d_{n-1} takes while its
+content is 1: the cycles of d_{n-1} are fixed by their other coordinates,
+so the Smith form of d_n does not change (the compression of Bauer,
+Kerber & Reininghaus, over Z; the lemma is in `linalg.smith_reduce`).
+`rack_homology` reduces its two boundaries whole, with no start set and no
+rows dropped, and is the oracle for the table.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from dataclasses import dataclass
 from .chains import (
     DEFAULT_BASIS_CAP,
     Chain,
+    DegreeTooLarge,
     apply_boundary,
     boundary_columns,
     boundary_matrix,
@@ -79,39 +77,44 @@ def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> Hom
 def check_table_cap(size: int, max_degree: int, cap: int) -> None:
     """Raise DegreeTooLarge unless every boundary d_2 .. d_{max_degree+1}
     that `homology_table` builds fits the cap, smallest degree first."""
-    for n in range(2, max_degree + 2):
+    # size^n exceeds the cap once n > cap.bit_length(), unless size is 1
+    for n in range(2, min(max_degree, cap.bit_length() + 1) + 2):
         _check_cap(size, n, cap)
+
+
+def _check_table_work(size: int, max_degree: int, cap: int) -> None:
+    """Raise DegreeTooLarge if the sum of n·size^n over d_2 .. d_{max_degree+1},
+    the digits of their bases, exceeds the cap.  On the one-element rack
+    each boundary fits, but the table's work grows with max_degree²."""
+    work = 0
+    for n in range(2, max_degree + 2):
+        work += n * size ** n
+        if work > cap:
+            raise DegreeTooLarge(f"{work} basis digits of d_2 .. d_{n} exceed the cap of {cap}")
 
 
 def homology_table(
     rack: FiniteRack, max_degree: int, cap: int = DEFAULT_BASIS_CAP
 ) -> list[HomologyGroup]:
-    """HR_0 .. HR_max_degree; reduces each of d_{max_degree+1} .. d_2 once
-    per call, top down, and keeps nothing between calls.
+    """HR_0 .. HR_max_degree; reduces each of d_2 .. d_{max_degree+1} once
+    per call, bottom up, and keeps nothing between calls.
 
-    Every d_n is checked against the cap, smallest n first, before any is
-    built.  The top boundary is built from the columns that start in
-    `racks.start_set`, and each lower d_n without the columns that
-    d_{n+1}'s reduction clears; either leaves the rank and divisors as they
-    are.  Clearing needs only that the columns reduced lie in Im d_{n+1},
-    which the start-set columns do.  No boundary drops columns by both
-    rules: each rule keeps a set that spans, and what the two keep
-    together need not.
+    Every d_n is checked against the cap, smallest n first, and then the
+    digits of all their bases, before any is built.  Each d_n is built
+    from the columns that start in `racks.start_set` and without the rows
+    named by the pivot columns that d_{n-1}'s reduction returns; both
+    leave the rank and divisors as they are.
     """
     size = rack.size
-    top = max_degree + 1
     check_table_cap(size, max_degree, cap)
-    ranks = [0] * (top + 2)  # ranks[n] = rank d_n; d_0 and d_1 are zero
-    torsion: list[tuple[int, ...]] = [()] * (top + 2)
-    cleared: set[int] = set()
-    for n in range(top, 1, -1):
-        if n == top:
-            columns = boundary_columns(rack, n, cap, starts=start_set(rack))
-        else:
-            columns = boundary_columns(rack, n, cap, cleared)
-        divisors, cleared = smith_reduce(columns)
-        ranks[n] = len(divisors)
-        torsion[n] = tuple(d for d in divisors if d > 1)
+    _check_table_work(size, max_degree, cap)
+    starts = start_set(rack)
+    ranks, torsion = [0, 0], [(), ()]  # d_0 and d_1 are zero
+    pivots: set[int] = set()
+    for n in range(2, max_degree + 2):
+        divisors, pivots = smith_reduce(boundary_columns(rack, n, cap, starts, pivots))
+        ranks.append(len(divisors))
+        torsion.append(tuple(d for d in divisors if d > 1))
     return [
         HomologyGroup(size ** n - ranks[n] - ranks[n + 1], torsion[n + 1])
         for n in range(max_degree + 1)

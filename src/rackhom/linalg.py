@@ -27,13 +27,13 @@ nearly every rack boundary measured, one more round at the content of what
 the ±1 round leaves finishes the reduction without that step.  With
 transforms, the full eliminator runs alone; it is the oracle for the sweep.
 
-`smith_reduce` also returns the rows of the ±1 pivots its first round
-takes when that round's content is 1.  Reducing d_{n+1} (or any columns
-of it) first, `homology` leaves those columns out of d_n: each is an
-integer combination of the columns kept, so the Smith form of d_n does not
-change.  This is the clearing (or twist) of persistent homology (Chen &
-Kerber; Bauer, Kerber & Reininghaus), which over Z needs the pivots to be
-units; the lemma is in the docstring of `smith_reduce`.
+`smith_reduce` also returns the columns of the ±1 pivots its first round
+takes when that round's content is 1.  Reducing d_n (or any columns of
+it) first, `homology` leaves those rows out of d_{n+1}: the cycles of d_n
+are fixed by their other coordinates, so the Smith form of d_{n+1} does
+not change.  This is the compression of persistent homology (Bauer,
+Kerber & Reininghaus), carried over to Z with unit pivots; the lemma is in
+the docstring of `smith_reduce`.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ class _Eliminator:
 
     def sweep(self, c: int) -> list[int]:
         """Eliminate ±c pivots column by column, where c divides every entry
-        left; returns their rows.
+        left; returns their columns.
 
         Columns are visited in increasing order of their support at the
         start of the round, the later column first on a tie.  In each, a ±c
@@ -362,7 +362,7 @@ class _Eliminator:
                     self.row_addmul(i, pi, -(rows[i][pj] // p))
             for j in rows.pop(pi):
                 self._drop_support(pi, j)
-            swept.append(pi)
+            swept.append(pj)
         return swept
 
 
@@ -376,7 +376,7 @@ def _columns_of(matrix: SparseIntMatrix) -> dict[int, dict[int, int]]:
 def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], set[int]]:
     """The elementary divisors of the matrix with these columns
     ({col: {row: nonzero}}, taken over and emptied), and the rows that can
-    be cleared from the next boundary down.
+    be dropped from the next boundary up.
 
     The reduction runs in rounds on the eliminator's row and column maps.
     Each round takes the content c of what is left (the gcd of its entries)
@@ -387,37 +387,34 @@ def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], s
     multiple of c, so the next round's content is a multiple of this one's
     and the divisors come out as a divisibility chain in order.
 
-    The rows returned are the pivot rows of the first round when its
-    content is 1, and none otherwise.  Up to that point only row operations
-    have run, so each such pivot is a ±1 entry, at row i, of a Schur
-    complement column v: an integer combination of the input columns that
-    is zero on the rows pivoted before i.  If every input column lies in
-    Im d_{n+1} (all of d_{n+1}, or only some of its columns, such as those
-    that start in a start set), then so does v, and Im d_{n+1} ⊆ ker d_n
-    gives d_n(e_i) = ∓ the sum of v's other entries times the columns of
-    d_n at their rows, all of them rows not yet pivoted.  Going back from
-    the last pivot, every cleared column of d_n is an integer combination
-    of the columns that are never pivot rows here, so dropping them leaves
-    the image lattice of d_n, and with it its Smith form, unchanged.  That
-    is the unit-pivot condition: only ±1 pivots taken by row operations
-    alone are returned.  (A later round of content c would also do, since
-    v/c is then integral and lies in ker d_n, a kernel being saturated, but
-    those pivots are few and are not returned.)  A step of the full
-    elimination adds later rows into its pivot row and uses column
-    operations, so no row is returned from it or from any round after it.
+    The set returned holds the pivot columns P of the first round when its
+    content is 1, and nothing otherwise.  Up to then only row operations
+    have run, so U·d_n, with U unimodular, is triangular with ±1 on the
+    diagonal on the pivot rows and the columns P: each pivot row has ±1 at
+    its own column and 0 at every earlier pivot column.  Every v in ker d_n is
+    therefore fixed, over Z, by its coordinates off P, so forgetting the P
+    coordinates maps ker d_n isomorphically onto a saturated sublattice.
+    Since Im d_{n+1} ⊆ ker d_n, d_{n+1} without the rows P has the same
+    rank and divisors.  The argument uses only the columns reduced, so it
+    holds for any columns of d_n, such as those that start in a start set.
+    (A later round of content c would also do until a full elimination
+    step runs: each of its pivot rows is c times an integral row with ±1
+    at its column.  Those pivots are few and are not returned.)  A step of
+    the full elimination uses column operations, which change the basis of
+    C_n, so no column is returned from it or from any round after it.
     """
     elim = _Eliminator(columns)
     divisors: list[int] = []
-    cleared: list[int] | None = None
+    unit_pivots: list[int] | None = None
     while elim.rows:
         c = elim.content()
         pivots = elim.sweep(c)
-        if cleared is None:
-            cleared = pivots if c == 1 else []
+        if unit_pivots is None:
+            unit_pivots = pivots if c == 1 else []
         divisors += [c] * len(pivots)
         if not pivots:
             divisors.append(elim.step()[2])
-    return tuple(divisors), set(cleared or ())
+    return tuple(divisors), set(unit_pivots or ())
 
 
 def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:

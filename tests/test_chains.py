@@ -248,21 +248,30 @@ def columns_by_monomial(rack, n):
 
 
 class TestBoundaryColumns:
-    def test_equals_boundary_of_monomial_with_and_without_skip(self):
+    def test_equals_boundary_of_monomial_with_and_without_dropped_rows(self):
         rng = random.Random(8)
         for rack in mixed_racks(4):
             for n in range(1, 6):
                 oracle = columns_by_monomial(rack, n)
                 assert boundary_columns(rack, n) == oracle, (rack, n)
-                count = rack.size ** n
-                skips = [
-                    set(range(0, count, 3)),
-                    set(rng.sample(range(count), count // 2)),
-                    set(range(count)),
+                rows = rack.size ** (n - 1)
+                drops = [
+                    set(range(0, rows, 3)),
+                    set(rng.sample(range(rows), rows // 2)),
+                    set(range(rows)),
                 ]
-                for skip in skips:
-                    kept = {j: col for j, col in oracle.items() if j not in skip}
-                    assert boundary_columns(rack, n, skip=skip) == kept, (rack, n)
+                pair = tuple(sorted(rng.sample(range(rack.size), min(2, rack.size))))
+                for drop in drops:
+                    for start in (None, (0,), pair):
+                        kept = {}
+                        for j, col in oracle.items():
+                            # column j starts with j // |X|^(n-1)
+                            if start is None or j // rows in start:
+                                col = {i: v for i, v in col.items() if i not in drop}
+                                if col:
+                                    kept[j] = col
+                        built = boundary_columns(rack, n, starts=start, drop_rows=drop)
+                        assert built == kept, (rack, n, start)
 
     def test_degree_and_cap_validation(self):
         with pytest.raises(ValueError):

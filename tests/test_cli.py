@@ -192,6 +192,19 @@ class TestErrorMapping:
             assert (code, out) == (2, "")
             assert err == f"DegreeTooLarge: {factors} cycle recipe factors exceed the cap of {cap}\n"
 
+    def test_homology_table_work_cap_fails_fast_on_a_one_element_rack(
+        self, capsys, rack_file
+    ):
+        # every |X|^n is 1 there, but the table's work grows with D²;
+        # Σ n·|X|^n first passes the cap at d_1414
+        path = rack_file({"kind": "permutation", "cycles": [[0]]})
+        message = "1000404 basis digits of d_2 .. d_1414 exceed the cap of 1000000"
+        for degree in ("2000", "10000", "1000000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "homology", "--input", path, "--max-degree", degree)
+            assert time.perf_counter() - start < 1.0, degree
+            assert (code, out, err) == (2, "", f"DegreeTooLarge: {message}\n")
+
     def test_betti_numbers_too_long_to_print_fail_fast(self, capsys, rack_file):
         if getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
             pytest.skip("needs the default int-to-str digit limit of Python >= 3.10.7")

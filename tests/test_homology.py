@@ -87,26 +87,34 @@ class TestHomologyTable:
         assert [g.free_rank for g in homology_table(rack, 2)] == [1, 1, 1]
 
     def test_reduces_each_boundary_once_per_call(self, monkeypatch):
-        built, reduced = [], []
+        built, reduced, dropped, returned = [], [], [], []
         build = rackhom.homology.boundary_columns
         reduce = rackhom.homology.smith_reduce
 
-        def recording_build(rack, n, *args, **kwargs):
+        def recording_build(rack, n, cap, starts, drop_rows):
             built.append(n)
-            return build(rack, n, *args, **kwargs)
+            dropped.append(set(drop_rows))
+            return build(rack, n, cap, starts, drop_rows)
 
-        def counting_reduce(columns):
+        def recording_reduce(columns):
             reduced.append(built[-1])
-            return reduce(columns)
+            divisors, pivots = reduce(columns)
+            returned.append(set(pivots))
+            return divisors, pivots
 
         monkeypatch.setattr(rackhom.homology, "boundary_columns", recording_build)
-        monkeypatch.setattr(rackhom.homology, "smith_reduce", counting_reduce)
+        monkeypatch.setattr(rackhom.homology, "smith_reduce", recording_reduce)
         rack = dihedral_rack(3)
         homology_table(rack, 3)
-        assert reduced == [4, 3, 2]  # d_4, d_3, d_2, top down
+        assert reduced == [2, 3, 4]  # d_2, d_3, d_4, bottom up
         homology_table(rack, 3)
-        assert reduced == [4, 3, 2] * 2
+        assert reduced == [2, 3, 4] * 2
         assert built == reduced
+        # d_2 drops nothing; each d_n drops the rows d_{n-1} returned
+        for call in (0, 3):
+            assert dropped[call] == set()
+            assert dropped[call + 1 : call + 3] == returned[call : call + 2]
+        assert all(returned[:2]), "dihedral 3 compresses d_3 and d_4"
 
     def test_cap_error_names_the_smallest_degree_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):
@@ -119,6 +127,17 @@ class TestHomologyTable:
             homology_table(swap, 4, cap=10)
         with pytest.raises(DegreeTooLarge, match=r"^3\^3 basis monomials exceed the cap of 26$"):
             homology_table(dihedral_rack(3), 6, cap=26)
+        # on one element every |X|^n is 1, but the digits of the bases,
+        # the sum of n·|X|^n over d_2 .. d_{D+1}, grow with D²
+        point = trivial_rack(1)
+        message = r"^1000404 basis digits of d_2 \.\. d_1414 exceed the cap of 1000000$"
+        for degree in (1413, 10000, 10**9):
+            with pytest.raises(DegreeTooLarge, match=message):
+                homology_table(point, degree)
+        with pytest.raises(DegreeTooLarge, match=r"^230 basis digits of d_2 \.\. d_21 "):
+            homology_table(point, 20, cap=229)
+        monkeypatch.undo()
+        assert homology_table(point, 20, cap=230) == [HomologyGroup(1)] * 21
 
     def test_permutation_racks_are_free_of_rank_r_to_n(self):
         for rack in permutation_racks(4):
@@ -182,6 +201,36 @@ def test_table_matches_each_degree_reduced_whole(rack, max_degree):
     # column cleared; the Alexander quandles bring Z/2, Z/8 and Z/3 torsion
     oracle = [rack_homology(rack, n) for n in range(max_degree + 1)]
     assert homology_table(rack, max_degree) == oracle
+
+
+def inner_orbit_count(rack: FiniteRack) -> int:
+    """The number of orbits of X under the maps x▷(-), found by a search
+    that follows every map forwards (each is a permutation)."""
+    seen: set[int] = set()
+    count = 0
+    for root in range(rack.size):
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            y = stack.pop()
+            for x in range(rack.size):
+                z = rack.op(x, y)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return count
+
+
+@pytest.mark.parametrize(("rack", "max_degree"), TABLE_CASES)
+def test_free_rank_is_the_orbit_count_to_the_degree(rack, max_degree):
+    # Etingof & Graña: the free rank of HR_n of a finite rack is o^n, o the
+    # number of orbits under the maps x▷(-); no reduction is needed for it
+    o = inner_orbit_count(rack)
+    ranks = [group.free_rank for group in homology_table(rack, max_degree)]
+    assert ranks == [o ** n for n in range(max_degree + 1)]
 
 
 def reaches(rack: FiniteRack, starts: tuple[int, ...]) -> set[int]:
@@ -261,10 +310,6 @@ class TestStartSet:
             divisors, _ = smith_reduce(boundary_columns(rack, n, starts={0}))
             assert len(divisors) < whole, n
 
-    def test_start_set_and_skip_are_not_combined(self):
-        with pytest.raises(ValueError, match="cannot be combined"):
-            boundary_columns(dihedral_rack(3), 3, skip={0}, starts=(0, 1))
-
 
 def prime_factors(n: int) -> set[int]:
     factors, p = set(), 2
@@ -315,25 +360,32 @@ class TestBoundarySmithOracles:
                 dropped = sum(1 for d in form.divisors if d % p == 0)
                 assert rank_mod_prime(matrix, p) == form.rank - dropped, (rack, n, p)
 
-    def test_cleared_rows_are_unimodular_pivot_rows(self, boundary_forms):
-        # the rows smith_reduce names were ±1 pivots of an elimination by
+    def test_pivot_columns_are_unimodular(self, boundary_forms):
+        # the columns smith_reduce names were ±1 pivots of an elimination by
         # row operations alone, so the submatrix they form has full rank
-        # over Q and over every F_p (all its divisors are 1); it is ranked
-        # transposed, which is faster for these wide rows
+        # over Q and over every F_p (a unimodular block lies in it)
         for rack, n, matrix, form in boundary_forms:
-            columns = {}
-            for (i, j), v in matrix.entries.items():
-                columns.setdefault(j, {})[i] = v
-            divisors, cleared = smith_reduce(columns)
+            divisors, pivots = smith_reduce(boundary_columns(rack, n))
             assert divisors == form.divisors
-            assert len(cleared) <= divisors.count(1), (rack, n)
-            index = {i: k for k, i in enumerate(sorted(cleared))}
-            sub = SparseIntMatrix(matrix.col_count, len(index), {
-                (j, index[i]): v for (i, j), v in matrix.entries.items() if i in index
+            assert len(pivots) <= divisors.count(1), (rack, n)
+            index = {j: k for k, j in enumerate(sorted(pivots))}
+            sub = SparseIntMatrix(matrix.row_count, len(index), {
+                (i, index[j]): v for (i, j), v in matrix.entries.items() if j in index
             })
-            assert rational_rank(sub) == len(cleared), (rack, n)
+            assert rational_rank(sub) == len(pivots), (rack, n)
             for p in (2, 3, 5):
-                assert rank_mod_prime(sub, p) == len(cleared), (rack, n, p)
+                assert rank_mod_prime(sub, p) == len(pivots), (rack, n, p)
+
+    def test_next_boundary_without_the_pivot_rows_keeps_its_smith_form(self, boundary_forms):
+        # the compression lemma on whole boundaries, without start sets
+        forms = {(id(rack), n): form for rack, n, _, form in boundary_forms}
+        for rack, n, _, _ in boundary_forms:
+            above = forms.get((id(rack), n + 1))
+            if above is None:
+                continue
+            _, pivots = smith_reduce(boundary_columns(rack, n))
+            divisors, _ = smith_reduce(boundary_columns(rack, n + 1, drop_rows=pivots))
+            assert divisors == above.divisors, (rack, n)
 
 
 class TestIsCycle:

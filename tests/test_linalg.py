@@ -259,8 +259,8 @@ class TestContentSweep:
 
 class TestSmithReduce:
     """The reducer behind smith_normal_form's default path, which also
-    returns the pivot rows of its first round when that round's content
-    is 1."""
+    returns the pivot columns of its first round when that round's content
+    is 1: the rows to drop from the next boundary up."""
 
     @staticmethod
     def columns(rows):
@@ -270,10 +270,10 @@ class TestSmithReduce:
             columns.setdefault(j, {})[i] = v
         return columns
 
-    def test_returns_the_unit_round_pivot_rows_only(self):
-        # round 1 pivots on row 0 and leaves a 2 in row 1, which the round
-        # at content 2 takes; that row is not returned
-        assert smith_reduce(self.columns([[1, 0], [1, 2]])) == ((1, 2), {0})
+    def test_returns_the_unit_round_pivot_columns_only(self):
+        # round 1 pivots at column 1, row 0, and leaves a 2 at column 0,
+        # which the round at content 2 takes; that column is not returned
+        assert smith_reduce(self.columns([[0, 1], [2, 1]])) == ((1, 2), {1})
 
     def test_no_rows_when_the_first_content_exceeds_one(self):
         assert smith_reduce(self.columns([[2, 0], [0, 2]])) == ((2, 2), set())
