@@ -164,13 +164,21 @@ def _check_cap(size: int, n: int, cap: int) -> None:
         raise DegreeTooLarge(f"{size}^{n} basis monomials exceed the cap of {cap}")
 
 
+def _check_degree(size: int, n: int, cap: int) -> None:
+    """`_check_cap`, then the degree itself: on the one-element rack |X|^n
+    is 1 in every degree, but the work of one degree grows with n."""
+    _check_cap(size, n, cap)
+    if n > cap:
+        raise DegreeTooLarge(f"degree {n} exceeds the cap of {cap}")
+
+
 def enumerate_basis(
     rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP
 ) -> list[Monomial]:
     """All degree-n monomials in lexicographic order; [(())] for n = 0."""
     if n < 0:
         raise ValueError("negative degree")
-    _check_cap(rack.size, n, cap)
+    _check_degree(rack.size, n, cap)
     return list(product(range(rack.size), repeat=n))
 
 
@@ -206,6 +214,12 @@ def apply_boundary(rack: FiniteRack, c: Chain) -> Chain:
     return Chain._clean(c.degree - 1, coeffs)
 
 
+IndexedChain = dict[int, int]
+"""A chain of known degree n as {index: coeff}: the index of a monomial is
+its position in the lexicographic basis, its entries read as base-|X|
+digits."""
+
+
 def _rank_of(mono: Monomial, size: int) -> int:
     """Position of a monomial in the lexicographic basis (base-size digits)."""
     index = 0
@@ -214,22 +228,58 @@ def _rank_of(mono: Monomial, size: int) -> int:
     return index
 
 
+def _as_chain(chain: IndexedChain, size: int, degree: int) -> Chain:
+    """The `Chain` of an indexed chain: each index read back as its digits."""
+    places = [size ** k for k in range(degree - 1, -1, -1)]
+    return Chain._clean(degree, {tuple(i // p % size for p in places): v for i, v in chain.items()})
+
+
+class _DigitwiseMap:
+    """A map of the elements applied to every digit of an index.
+
+    ``images[x]`` is read as a digit in base ``out_base``.  An index of k
+    digits is looked up on its high ⌊k/2⌋ and low ⌈k/2⌉ digits, so no table
+    has more than |X|^⌈k/2⌉ entries.
+    """
+
+    def __init__(self, images: Sequence[int], out_base: int):
+        self.images = images
+        self.out_base = out_base
+        self.tables: list[list[int]] = [[0]]  # tables[L]: the map on L digits
+
+    def table(self, digits: int) -> list[int]:
+        """The image of every index of ``digits`` digits, in index order."""
+        tables = self.tables
+        while len(tables) <= digits:
+            place, low = self.out_base ** (len(tables) - 1), tables[-1]
+            tables.append([y * place + b for y in self.images for b in low])
+        return tables[digits]
+
+    def split(self, digits: int) -> tuple[list[int], list[int], int]:
+        """(high, low, divisor): the map of a ``digits``-digit index i is
+        high[i // divisor] + low[i % divisor]."""
+        low_digits = (digits + 1) // 2
+        place = self.out_base ** low_digits
+        high = [v * place for v in self.table(digits - low_digits)]
+        return high, self.table(low_digits), len(self.images) ** low_digits
+
+
 def boundary_columns(
     rack: FiniteRack,
     n: int,
     cap: int = DEFAULT_BASIS_CAP,
     starts: Iterable[int] | None = None,
     drop_rows: Container[int] = (),
-) -> dict[int, dict[int, int]]:
-    """The nonzero columns of d_n as {col: {row: coeff}}, against the
-    lexicographic bases, keeping only the columns whose first entry is in
-    starts and leaving out the rows in drop_rows.
+) -> dict[int, IndexedChain]:
+    """The nonzero columns of d_n as {col: chain}, each an indexed chain of
+    degree n - 1, keeping only the columns whose first entry is in starts
+    and leaving out the rows in drop_rows.
 
     Indices are read as base-size digits, so no monomial is ever built.
     Column J = head·size^(L+1) + x_k·size^L + tail, with L = n - k, has the
-    terms ±(head·size^L + tail) and ∓(head·size^L + act[L][x_k][tail]),
-    where act[L][x][t] is the index of x▷t applied digitwise to a tail of
-    L digits.  The columns that start with x are the block of indices
+    terms ±(head·size^L + tail) and ∓(head·size^L + x_k▷tail), where
+    x_k▷tail is looked up in the `_DigitwiseMap` of the row x_k▷(-) on L
+    digits.  The columns that start with x are the block of indices
     x·size^(n-1) .. (x+1)·size^(n-1) - 1, so starts picks whole blocks.
 
     For a start set S (`racks.start_set`), the columns that start in S
@@ -242,22 +292,15 @@ def boundary_columns(
     if n < 1:
         raise ValueError("boundary matrices start at degree 1")
     size = rack.size
-    _check_cap(size, n, cap)
-    powers = [size ** L for L in range(n + 1)]
-    act = [[[0]] * size]  # act[0][x] acts on the empty tail
-    for L in range(1, n):
-        low = act[L - 1]
-        act.append([
-            [a * powers[L - 1] + b for a in rack.table[x] for b in low[x]]
-            for x in range(size)
-        ])
-    faces = [
-        (powers[n - k + 1], powers[n - k], act[n - k], 1 if k % 2 else -1)
-        for k in range(1, n)
+    _check_degree(size, n, cap)
+    acts = [_DigitwiseMap(row, size) for row in rack.table]
+    faces = [  # face k = n - L, for k = 1 .. n - 1
+        (size ** (L + 1), size ** L, [act.table(L) for act in acts], 1 if (n - L) % 2 else -1)
+        for L in range(n - 1, 0, -1)
     ]
     heads = range(size) if starts is None else sorted(starts)
-    tails = powers[n - 1]
-    columns: dict[int, dict[int, int]] = {}
+    tails = size ** (n - 1)
+    columns: dict[int, IndexedChain] = {}
     indices = (j for x in heads for j in range(x * tails, (x + 1) * tails))
     for col in indices:
         terms: dict[int, int] = {}

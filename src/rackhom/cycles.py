@@ -8,15 +8,15 @@ orbit detection map stay linearly independent, which a rank computation
 certifies exactly.
 
 `certified_levels` builds the basis of every degree 0..D in one pass, each
-level from the two below it, on chains keyed by their monomials'
-lexicographic indices (base-|X| digits, as in `chains.boundary_columns`):
-(q - q*)·c is two shifted copies of c, and avg(t)(c) is d copies of t·t·c
-with φ applied digit by digit, through tables split into high and low
-digits so that none outgrows the work it serves.  Every term of every
-chain is then read through an orbit-id table into a base-r index, whose
-numeric order is the lexicographic order of orbit tuples, and the images go
-as columns straight to `linalg.column_rank`.  No factor cancels, so the
-number of terms is known before any work and is held to the cap.
+level from the two below it, on `chains.IndexedChain`s, keyed by their
+monomials' lexicographic indices: (q - q*)·c is two shifted copies of c,
+and avg(t)(c) is d copies of t·t·c with φ applied digit by digit.  Every
+term of every chain is then read through an orbit-id table into a base-r
+index, whose numeric order is the lexicographic order of orbit tuples, and
+the images go as columns straight to `linalg.column_rank`.  Both tables
+come from `chains._DigitwiseMap`, split into high and low digits so that
+none outgrows the work it serves.  No factor cancels, so the number of
+terms is known before any work and is held to the cap.
 `CycleRecipe.evaluate` and `independence_certificate`, on tuple-keyed
 `Chain`s, are the oracles for the pass.
 """
@@ -26,7 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .chains import DEFAULT_BASIS_CAP, Chain, DegreeTooLarge, detection_map
+from .chains import (
+    DEFAULT_BASIS_CAP,
+    Chain,
+    DegreeTooLarge,
+    IndexedChain,
+    detection_map,
+    _as_chain,
+    _DigitwiseMap,
+)
 from .linalg import SparseIntMatrix, column_rank, rational_rank
 from .racks import (
     FiniteRack,
@@ -182,6 +190,7 @@ def basis_recipes(
         raise ValueError("negative degree")
     if rack.size ** n > cap:
         raise DegreeTooLarge(f"{rack.size}^{n} exceeds the cap of {cap}")
+    _check_cycle_work(rack, n, cap, chains=False, recipes=True)
     return _last(_recipe_levels(rack, orbit_decomposition(phi), n))
 
 
@@ -209,41 +218,6 @@ def _recipe_levels(
         )
         older, old = old, level
         yield level
-
-
-IndexedChain = dict[int, int]
-"""A chain of known degree n as {index: coeff}: the index of a monomial is
-its position in the lexicographic basis, its entries read as base-|X|
-digits."""
-
-
-class _DigitwiseMap:
-    """A map of the elements applied to every digit of an index.
-
-    ``images[x]`` is read as a digit in base ``out_base``.  An index of k
-    digits is looked up on its high ⌊k/2⌋ and low ⌈k/2⌉ digits, so no table
-    has more than |X|^⌈k/2⌉ entries.
-    """
-
-    def __init__(self, images: Sequence[int], out_base: int):
-        self.images = images
-        self.out_base = out_base
-        self.tables: list[list[int]] = [[0]]  # tables[L]: the map on L digits
-
-    def _table(self, digits: int) -> list[int]:
-        tables = self.tables
-        while len(tables) <= digits:
-            place, low = self.out_base ** (len(tables) - 1), tables[-1]
-            tables.append([y * place + b for y in self.images for b in low])
-        return tables[digits]
-
-    def split(self, digits: int) -> tuple[list[int], list[int], int]:
-        """(high, low, divisor): the map of a ``digits``-digit index i is
-        high[i // divisor] + low[i % divisor]."""
-        low_digits = (digits + 1) // 2
-        place = self.out_base ** low_digits
-        high = [v * place for v in self._table(digits - low_digits)]
-        return high, self._table(low_digits), len(self.images) ** low_digits
 
 
 def _chain_levels(
@@ -323,13 +297,14 @@ def recipe_factor_counts(r: int, max_degree: int) -> list[int]:
 
 
 def _check_cycle_work(
-    rack: FiniteRack, max_degree: int, cap: int, recipes: bool = False
-) -> None:
-    """Raise DegreeTooLarge unless the basis of every degree 0..max_degree
-    fits the cap: |X|^n for each n, smallest first, then the number of
-    chain terms of the top degree, then, with recipes, the number of recipe
-    factors of all the degrees, which the recipes' tuples and text grow
-    with."""
+    rack: FiniteRack, max_degree: int, cap: int, chains: bool = True, recipes: bool = False
+) -> tuple[int, ...]:
+    """φ of the rack, once the basis of every degree 0..max_degree fits the
+    cap; else raise DegreeTooLarge.  Checked in turn: |X|^n for each n,
+    smallest first; with chains, the number of chain terms of the top
+    degree; with recipes, the number of recipe factors of all the degrees,
+    which the recipes' tuples and text grow with; last the degree itself,
+    which the work on the one-element rack grows with."""
     phi = _require_permutation(rack)
     if max_degree < 0:
         raise ValueError("negative degree")
@@ -345,30 +320,22 @@ def _check_cycle_work(
         r = len(orbit_decomposition(phi).orbits)
         terms = chain_term_counts(size, r, max_degree)[-1]
         factors = sum(recipe_factor_counts(r, max_degree))
-    if terms > cap:
+    if chains and terms > cap:
         raise DegreeTooLarge(f"{terms} cycle chain terms exceed the cap of {cap}")
     if recipes and factors > cap:
         raise DegreeTooLarge(f"{factors} cycle recipe factors exceed the cap of {cap}")
+    if max_degree > cap:
+        raise DegreeTooLarge(f"degree {max_degree} exceeds the cap of {cap}")
+    return phi
 
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
     """The evaluated lower-bound basis chains; all are cycles and their
     number equals the closed-form Betti number.  Built by the same pass as
     `certified_levels`."""
-    _check_cycle_work(rack, n, cap)
-    phi = as_permutation(rack)
+    phi = _check_cycle_work(rack, n, cap)
     chains = _last(_chain_levels(phi, orbit_decomposition(phi), n))
     return [_as_chain(chain, rack.size, n) for chain in chains]
-
-
-def _as_chain(chain: IndexedChain, size: int, degree: int) -> Chain:
-    coeffs = {}
-    for index, coeff in chain.items():
-        digits = [0] * degree
-        for k in range(degree - 1, -1, -1):
-            index, digits[k] = divmod(index, size)
-        coeffs[tuple(digits)] = coeff
-    return Chain._clean(degree, coeffs)
 
 
 @dataclass(frozen=True)
@@ -394,12 +361,10 @@ def certified_levels(
     factors (`_check_cycle_work`), when this is called, before any level
     is built.
     """
-    _check_cycle_work(rack, max_degree, cap, recipes=True)
-    return _certify(rack, max_degree)
+    return _certify(rack, _check_cycle_work(rack, max_degree, cap, recipes=True), max_degree)
 
 
-def _certify(rack: FiniteRack, max_degree: int) -> Iterator[CertifiedLevel]:
-    phi = as_permutation(rack)
+def _certify(rack: FiniteRack, phi: Sequence[int], max_degree: int) -> Iterator[CertifiedLevel]:
     decomposition = orbit_decomposition(phi)
     levels = zip(
         _recipe_levels(rack, decomposition, max_degree),

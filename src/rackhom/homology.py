@@ -31,7 +31,7 @@ from .chains import (
     _check_cap,
     _rank_of,
 )
-from .linalg import SparseIntMatrix, rational_rank, smith_normal_form, smith_reduce
+from .linalg import column_rank, smith_normal_form, smith_reduce
 from .racks import FiniteRack, start_set
 
 
@@ -133,10 +133,7 @@ def is_rational_boundary(rack: FiniteRack, c: Chain, cap: int = DEFAULT_BASIS_CA
         raise NotACycle(str(c))
     if not c:
         return True
-    size = rack.size
-    rows, extra = size ** c.degree, size ** (c.degree + 1)
-    columns = boundary_columns(rack, c.degree + 1, cap, starts=start_set(rack))
-    entries = {(i, j): v for j, col in columns.items() for i, v in col.items()}
-    cycle = {(_rank_of(mono, size), extra): coeff for mono, coeff in c.terms()}
-    stacked = SparseIntMatrix(rows, extra + 1, {**entries, **cycle})
-    return rational_rank(stacked) == rational_rank(SparseIntMatrix(rows, extra, entries))
+    columns = list(boundary_columns(rack, c.degree + 1, cap, starts=start_set(rack)).values())
+    cycle = {_rank_of(mono, rack.size): coeff for mono, coeff in c.terms()}
+    # column_rank takes its columns over, so the first rank reduces copies
+    return column_rank([*map(dict, columns), cycle]) == column_rank(columns)

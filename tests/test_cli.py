@@ -19,6 +19,7 @@ from rackhom.closed_forms import betti_numbers
 from rackhom.racks import PermutationSpec
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TWO_ONE = {"kind": "permutation", "cycles": [[0, 1], [2]]}
 FIB = {"kind": "permutation", "cycles": [[0]], "free_orbits": 1}
@@ -495,6 +496,23 @@ def test_console_script_is_installed(capsys, rack_file, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "status: ok" in result.stdout
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    """The benchmark's traced mode (``perfbench/spans.py``) replaces named
+    attributes of ``rackhom.cli``, ``homology``, ``cycles`` and
+    ``closed_forms`` with wrappers, so a refactor that moves one of them
+    away breaks it.  ``Tracer.install`` patches those modules for good, so
+    it runs in a child process."""
+    source_root = str(Path(rackhom.__file__).resolve().parent.parent)
+    install = (
+        f"import sys; sys.path[:0] = [{str(PERFBENCH)!r}, {source_root!r}]; "
+        "from spans import Tracer; assert callable(Tracer().install())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", install], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.skipif(

@@ -227,6 +227,14 @@ class TestBasisRecipes:
         with pytest.raises(DegreeTooLarge):
             basis_recipes(RACK_01_2, 4, cap=80)
 
+    def test_recipe_factors_are_held_to_the_cap(self):
+        # perm (1,1,1,1) to degree 9: 4^9 monomials fit, 2479300 factors do not
+        fixed_4 = permutation_rack(PermutationSpec((1, 1, 1, 1)))
+        assert sum(recipe_factor_counts(4, 9)) == 2479300
+        with pytest.raises(DegreeTooLarge, match=r"^2479300 cycle recipe factors exceed the cap of 1000000$"):
+            basis_recipes(fixed_4, 9)
+        assert len(basis_recipes(fixed_4, 9, cap=2479300)) == 4 ** 9
+
     def test_rejects_non_permutation(self):
         with pytest.raises(NotPermutation):
             basis_recipes(dihedral_rack(3), 2)

@@ -1,6 +1,7 @@
 """Brute-force homology groups and cycle predicates."""
 
 import random
+import time
 
 import pytest
 
@@ -12,8 +13,9 @@ from rackhom.chains import (
     apply_boundary,
     boundary_columns,
     boundary_matrix,
+    enumerate_basis,
 )
-from rackhom.cycles import cycle_basis
+from rackhom.cycles import basis_recipes, cycle_basis
 from rackhom.homology import (
     HomologyGroup,
     NotACycle,
@@ -70,6 +72,30 @@ class TestRackHomology:
     def test_cap_propagates(self):
         with pytest.raises(DegreeTooLarge):
             rack_homology(permutation_rack(PermutationSpec((3,))), 3, cap=80)
+
+    def test_one_element_rack_is_held_to_the_cap_at_every_entry_point(self):
+        # |X|^n is 1 in every degree there, but a boundary's or a level's
+        # work grows with n, and the recipes' factors with n²
+        point = trivial_rack(1)
+        degree = r"^degree 1000000000 exceeds the cap of 1000000$"
+        factors = r"^250000000500000000 cycle recipe factors exceed the cap of 1000000$"
+        for entry, message in (
+            (rack_homology, degree),
+            (boundary_matrix, degree),
+            (boundary_columns, degree),
+            (enumerate_basis, degree),
+            (cycle_basis, degree),
+            (basis_recipes, factors),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(DegreeTooLarge, match=message):
+                entry(point, 10**9)
+            assert time.perf_counter() - start < 1.0, entry
+        for entry in (enumerate_basis, boundary_columns, cycle_basis):
+            with pytest.raises(DegreeTooLarge, match=r"^degree 7 exceeds the cap of 6$"):
+                entry(point, 7, cap=6)
+            entry(point, 7, cap=7)
+        assert rack_homology(point, 6, cap=7) == HomologyGroup(1)
 
 
 class TestHomologyTable:
