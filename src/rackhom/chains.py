@@ -12,15 +12,16 @@ from itertools import product
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import SparseIntMatrix
-from .racks import FiniteRack, NotPermutation, as_permutation, orbit_decomposition
+from .racks import (
+    DEFAULT_BASIS_CAP,
+    DegreeTooLarge,
+    FiniteRack,
+    NotPermutation,
+    as_permutation,
+    orbit_decomposition,
+)
 
 Monomial = tuple[int, ...]
-
-DEFAULT_BASIS_CAP = 10 ** 6
-
-
-class DegreeTooLarge(ValueError):
-    """|X|^n exceeds the configured basis cap."""
 
 
 class NotGenerating(ValueError):

@@ -9,27 +9,15 @@ printed on stderr are stable interface, as are all field names below.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Any, Iterator
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .chains import DEFAULT_BASIS_CAP, DegreeTooLarge
-# `betti` is unused here but stays importable as `cli.betti`: perfbench/spans.py
-# wraps the closed forms where the CLI looks them up.
-from .closed_forms import betti, betti_numbers, betti_reaches, e2_rank, poincare_series  # noqa: F401
-# Likewise `basis_recipes` and `independence_certificate`, which the
-# certified pass (`certified_levels`) replaces here.
-from .cycles import (  # noqa: F401
-    CertifiedLevel,
-    basis_recipes,
-    certified_levels,
-    independence_certificate,
-)
-from .homology import check_table_cap, homology_table
 from .racks import (
+    DEFAULT_BASIS_CAP,
+    DegreeTooLarge,
     EmptySpec,
     FiniteRack,
     InfiniteOrbits,
@@ -37,10 +25,39 @@ from .racks import (
     NotPermutation,
     NotSelfDistributive,
     PermutationSpec,
+    Record,
     as_permutation,
     orbit_decomposition,
     validate_rack,
 )
+
+if TYPE_CHECKING:
+    from .cycles import CertifiedLevel
+
+# The layer functions, each imported from its module on first access (PEP
+# 562), so a command loads only the modules it runs.  The runners call them
+# as attributes of this module, `_cli.name`, so that a wrapper set here is
+# what runs.  `betti`, `basis_recipes` and `independence_certificate` are
+# not called here, but the benchmark's tracer wraps them here.
+_LAYERS = {
+    name: module
+    for module, names in (
+        ("closed_forms", "betti betti_numbers betti_reaches e2_rank poincare_series"),
+        ("cycles", "basis_recipes certified_levels independence_certificate"),
+        ("homology", "check_table_cap homology_table"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAYERS[name]}", __package__), name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class ParseError(ValueError):
@@ -60,15 +77,16 @@ def _is_int_list(value: Any) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
 
-@dataclass
-class RackDescription:
+class RackDescription(Record):
     """Parsed input document: either an explicit table or a permutation
     given by its cycles plus a count of free orbits."""
 
+    __slots__ = ("kind", "table", "cycles", "free_orbits")
+    _defaults = {"table": None, "cycles": None, "free_orbits": 0}
     kind: str
-    table: list[list[int]] | None = None
-    cycles: list[list[int]] | None = None
-    free_orbits: int = 0
+    table: list[list[int]] | None
+    cycles: list[list[int]] | None
+    free_orbits: int
 
     @classmethod
     def from_document(cls, doc: Any) -> "RackDescription":
@@ -220,7 +238,7 @@ def run_validate(description: RackDescription, args: argparse.Namespace) -> dict
 
 
 def _homology_columns(rack: FiniteRack, args: argparse.Namespace) -> list[dict[str, Any]]:
-    groups = homology_table(rack, args.max_degree, args.basis_cap)
+    groups = _cli.homology_table(rack, args.max_degree, args.basis_cap)
     return [{"free_rank": group.free_rank, "torsion": group.torsion} for group in groups]
 
 
@@ -232,13 +250,13 @@ def _check_work(count: int, what: str, cap: int, spec: PermutationSpec, degree: 
     if count > cap:
         raise DegreeTooLarge(f"{count} {what} exceed the cap of {cap}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
-    if digits and betti_reaches(spec, degree, 10**digits):
+    if digits and _cli.betti_reaches(spec, degree, 10**digits):
         raise DegreeTooLarge(f"b_{degree} has more than {digits} digits, too many to print")
 
 
 def _betti_columns(spec: PermutationSpec, args: argparse.Namespace) -> list[dict[str, Any]]:
     _check_work(args.max_degree + 1, "Betti degrees", args.basis_cap, spec, args.max_degree)
-    return [{"closed_form": b} for b in betti_numbers(spec, args.max_degree)]
+    return [{"closed_form": b} for b in _cli.betti_numbers(spec, args.max_degree)]
 
 
 def _e2_columns(
@@ -248,7 +266,7 @@ def _e2_columns(
     cells = (args.max_degree + 1) * (args.max_degree + 2) // 2
     _check_work(cells, "E2 page cells", args.basis_cap, spec, args.max_degree)
     page = [
-        {"p": p, "q": q, "rank": e2_rank(spec, p, q)}
+        {"p": p, "q": q, "rank": _cli.e2_rank(spec, p, q)}
         for q in range(args.max_degree + 1)
         for p in range(args.max_degree + 1 - q)
     ]
@@ -291,7 +309,7 @@ def run_betti(description: RackDescription, args: argparse.Namespace) -> dict[st
     spec = description.spec()
     _check_work(args.terms, "Poincare series terms", args.basis_cap, spec, args.terms - 1)
     rows = _rows(_betti_columns(spec, args))
-    coeffs = poincare_series(spec, args.terms).coefficients
+    coeffs = _cli.poincare_series(spec, args.terms).coefficients
     series = [0] * args.terms
     series[: len(coeffs)] = coeffs
     return _report(description, rows, poincare_series=series)
@@ -303,7 +321,7 @@ def run_e2(description: RackDescription, args: argparse.Namespace) -> dict[str, 
 
 
 def run_cycles(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    levels = certified_levels(description.finite_rack(), args.max_degree, args.basis_cap)
+    levels = _cli.certified_levels(description.finite_rack(), args.max_degree, args.basis_cap)
     return _report(description, _rows(_cycle_columns(levels)))
 
 
@@ -312,8 +330,8 @@ def run_verify(description: RackDescription, args: argparse.Namespace) -> dict[s
     is independent and there is no torsion."""
     rack = description.finite_rack()
     spec = PermutationSpec.from_rack(rack)  # so a table is validated once
-    check_table_cap(rack.size, args.max_degree, args.basis_cap)
-    levels = certified_levels(rack, args.max_degree, args.basis_cap)  # checks the cap
+    _cli.check_table_cap(rack.size, args.max_degree, args.basis_cap)
+    levels = _cli.certified_levels(rack, args.max_degree, args.basis_cap)  # checks the cap
     rows = _rows(
         _homology_columns(rack, args),
         _betti_columns(spec, args),
@@ -353,6 +371,8 @@ def emit_json(report: dict[str, Any]) -> str:
 
 
 def emit_csv(report: dict[str, Any]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if "summary" in report:

@@ -8,16 +8,14 @@ series (1+T) / (1 - (r-1)T - r_fin*T^2) it telescopes to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
-from .racks import EmptySpec, PermutationSpec
+from .racks import EmptySpec, PermutationSpec, Record
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial or truncated power series in one variable T.
 
     ``order`` is the truncation order: coefficients are trusted up to and
@@ -25,8 +23,10 @@ class IntPolynomial:
     truncates to the smallest order among the operands.
     """
 
+    __slots__ = ("coefficients", "order")
+    _defaults = {"order": None}
     coefficients: tuple[int, ...]
-    order: int | None = None
+    order: int | None
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
@@ -145,11 +145,11 @@ def rational_series(
     return IntPolynomial._take(coeffs, terms - 1)
 
 
-@dataclass(frozen=True)
-class EquivariantRanks:
+class EquivariantRanks(Record):
     """Homology ranks of the homotopy orbit space: r points' worth in degree
     0, one circle class per finite orbit in degree 1, nothing above."""
 
+    __slots__ = ("h0", "h1")
     h0: int
     h1: int
 

@@ -23,7 +23,6 @@ terms is known before any work and is held to the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .chains import (
@@ -40,6 +39,7 @@ from .racks import (
     FiniteRack,
     NotPermutation,
     OrbitDecomposition,
+    Record,
     as_permutation,
     orbit_decomposition,
 )
@@ -53,10 +53,10 @@ class MixedDegrees(ValueError):
     """The chains do not all share one degree."""
 
 
-@dataclass(frozen=True)
-class DifferenceFactor:
+class DifferenceFactor(Record):
     """Left multiplication by (x - y); raises degree by one."""
 
+    __slots__ = ("x", "y")
     x: int
     y: int
 
@@ -67,10 +67,10 @@ class DifferenceFactor:
         return f"({self.x}-{self.y})"
 
 
-@dataclass(frozen=True)
-class OrbitAverageFactor:
+class OrbitAverageFactor(Record):
     """The map c -> t·sum of φ^i(t·c) over t's orbit of size d; degree +2."""
 
+    __slots__ = ("t", "d")
     t: int
     d: int
 
@@ -81,10 +81,10 @@ class OrbitAverageFactor:
         return f"avg({self.t})"
 
 
-@dataclass(frozen=True)
-class TerminalFactor:
+class TerminalFactor(Record):
     """The rightmost bare element of a product cycle."""
 
+    __slots__ = ("x",)
     x: int
 
     def apply(self, rack: FiniteRack, c: Chain) -> Chain:
@@ -99,14 +99,15 @@ class TerminalFactor:
 Factor = Union[DifferenceFactor, OrbitAverageFactor, TerminalFactor]
 
 
-@dataclass(frozen=True)
-class CycleRecipe:
+class CycleRecipe(Record):
     """An ordered product of factors over a fixed rack, evaluated right to
     left starting from the empty monomial.  Only the last factor may be a
     TerminalFactor."""
 
+    __slots__ = ("rack", "factors")
+    _defaults = {"factors": ()}
     rack: FiniteRack
-    factors: tuple[Factor, ...] = ()
+    factors: tuple[Factor, ...]
 
     def __post_init__(self) -> None:
         for factor in self.factors[:-1]:
@@ -207,13 +208,13 @@ def _recipe_levels(
         yield old
     for _ in range(2, max_degree + 1):
         level = [
-            CycleRecipe(rack, (DifferenceFactor(q, reps[0]),) + sub.factors)
-            for q in reps[1:]
+            CycleRecipe(rack, (factor,) + sub.factors)
+            for factor in [DifferenceFactor(q, reps[0]) for q in reps[1:]]
             for sub in old
         ]
         level.extend(
-            CycleRecipe(rack, (OrbitAverageFactor(t, d),) + sub.factors)
-            for t, d in zip(reps, decomposition.sizes)
+            CycleRecipe(rack, (factor,) + sub.factors)
+            for factor in [OrbitAverageFactor(t, d) for t, d in zip(reps, decomposition.sizes)]
             for sub in older
         )
         older, old = old, level
@@ -338,11 +339,11 @@ def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[
     return [_as_chain(chain, rack.size, n) for chain in chains]
 
 
-@dataclass(frozen=True)
-class CertifiedLevel:
+class CertifiedLevel(Record):
     """The basis recipes of one degree and the rank of their chains'
     detection images; independent when the rank is the number of recipes."""
 
+    __slots__ = ("degree", "recipes", "rank")
     degree: int
     recipes: list[CycleRecipe]
     rank: int

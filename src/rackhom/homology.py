@@ -19,8 +19,6 @@ rows dropped, and is the oracle for the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import (
     DEFAULT_BASIS_CAP,
     Chain,
@@ -29,23 +27,25 @@ from .chains import (
     boundary_columns,
     boundary_matrix,
     _check_cap,
+    _check_degree,
     _rank_of,
 )
-from .linalg import column_rank, smith_normal_form, smith_reduce
-from .racks import FiniteRack, start_set
+from .linalg import reduce_column, smith_normal_form, smith_reduce
+from .racks import FiniteRack, Record, start_set
 
 
 class NotACycle(ValueError):
     """The chain has a nonzero boundary."""
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Record):
     """free_rank copies of Z plus cyclic groups of the torsion orders;
     torsion orders exceed 1 and form a divisibility chain."""
 
+    __slots__ = ("free_rank", "torsion")
+    _defaults = {"torsion": ()}
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -64,9 +64,12 @@ def _boundary_smith(rack: FiniteRack, n: int, cap: int) -> tuple[int, tuple[int,
 
 
 def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> HomologyGroup:
-    """HR_n of a finite rack, computed from d_n and d_{n+1}."""
+    """HR_n of a finite rack, computed from d_n and d_{n+1}; both are
+    checked against the cap, d_n first, before either is built."""
     if n < 0:
         raise ValueError("negative degree")
+    for degree in range(max(n, 2), n + 2):
+        _check_degree(rack.size, degree, cap)
     rank_here, _ = _boundary_smith(rack, n, cap)
     rank_next, divisors = _boundary_smith(rack, n + 1, cap)
     free_rank = rack.size ** n - rank_here - rank_next
@@ -126,14 +129,16 @@ def is_cycle(rack: FiniteRack, c: Chain) -> bool:
 
 
 def is_rational_boundary(rack: FiniteRack, c: Chain, cap: int = DEFAULT_BASIS_CAP) -> bool:
-    """Whether the cycle c bounds over the rationals: appending c as a column
-    to d_{n+1} must not raise the rank.  Only the columns of d_{n+1} that
-    start in `racks.start_set` are ranked; they span the same lattice."""
+    """Whether the cycle c bounds over the rationals: c must reduce to zero
+    against the reduced columns of d_{n+1}.  Only the columns of d_{n+1}
+    that start in `racks.start_set` are reduced; they span the same
+    lattice."""
     if not is_cycle(rack, c):
         raise NotACycle(str(c))
     if not c:
         return True
-    columns = list(boundary_columns(rack, c.degree + 1, cap, starts=start_set(rack)).values())
+    owners: dict[int, dict[int, int]] = {}
+    for column in boundary_columns(rack, c.degree + 1, cap, starts=start_set(rack)).values():
+        reduce_column(owners, column)
     cycle = {_rank_of(mono, rack.size): coeff for mono, coeff in c.terms()}
-    # column_rank takes its columns over, so the first rank reduces copies
-    return column_rank([*map(dict, columns), cycle]) == column_rank(columns)
+    return not reduce_column(owners, cycle)

@@ -38,24 +38,29 @@ the docstring of `smith_reduce`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable
 
+from .racks import Record
 
-@dataclass(frozen=True)
-class SparseIntMatrix:
-    """Sparse integer matrix; ``entries`` maps (row, col) to a nonzero int.
+
+class SparseIntMatrix(Record):
+    """Sparse integer matrix; ``entries`` maps (row, col) to a nonzero int,
+    and is a new empty dict when not given.
 
     Treated as immutable after construction: all algorithms copy before
     eliminating.
     """
 
+    __slots__ = ("row_count", "col_count", "entries")
+    _defaults = {"entries": None}
     row_count: int
     col_count: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        if self.entries is None:
+            object.__setattr__(self, "entries", {})
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.row_count and 0 <= j < self.col_count):
                 raise ValueError(f"entry ({i},{j}) out of range")
@@ -124,8 +129,7 @@ def matmul(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
     return SparseIntMatrix(a.row_count, b.col_count, out)
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Elementary divisors of an integer matrix.
 
     ``divisors`` is the full chain d1 | d2 | ... | d_rank (all positive,
@@ -133,10 +137,12 @@ class SmithForm:
     ``right`` are unimodular and satisfy left @ A @ right = diag(divisors).
     """
 
+    __slots__ = ("rank", "divisors", "left", "right")
+    _defaults = {"left": None, "right": None}
     rank: int
     divisors: tuple[int, ...]
-    left: SparseIntMatrix | None = None
-    right: SparseIntMatrix | None = None
+    left: SparseIntMatrix | None
+    right: SparseIntMatrix | None
 
 
 class _Eliminator:
@@ -462,45 +468,56 @@ def column_rank(columns: Iterable[dict[int, int]]) -> int:
     """Rank over the rationals of the matrix with these columns ({row:
     nonzero} each, taken over), by leading-entry column reduction.
 
-    The columns are reduced in the order given, each by its lowest nonzero
-    row (the largest row index).  While an earlier reduced column owns that
-    row, the fraction-free update col = p·col - a·owner clears it, where p
-    and a are the owner's and the column's entries there divided by their
-    gcd and signed so that p > 0.  When p ≠ 1 the result is divided by the
-    gcd of its entries, so every value stays an exact int and the scaling
-    does not pile up from one update to the next.  A column that stays
-    nonzero owns its lowest row; one that reaches zero is a combination of
-    earlier columns.  The rank is the number of owners.  This is the column
+    The columns are reduced in the order given (`reduce_column`), and the
+    rank is the number of columns left nonzero.  This is the column
     algorithm of persistent homology: each update costs the two columns'
     support, and a column whose lowest row no earlier column owns is kept
     as it is.  Row indices need not be dense: only their order matters.
     """
     owners: dict[int, dict[int, int]] = {}
     for col in columns:
-        while col:
-            low = max(col)
-            owner = owners.get(low)
-            if owner is None:
-                # a fresh copy: updates in place leave the table sized
-                # for the fill, and owners live to the end
-                owners[low] = dict(col)
-                break
-            p, a = owner[low], col[low]
-            g = gcd(p, a) if p > 0 else -gcd(p, a)
-            p, a = p // g, a // g  # p > 0 now
-            if p != 1:
-                col = {i: p * v for i, v in col.items()}
-            for i, v in owner.items():
-                w = col.get(i, 0) - a * v
-                if w:
-                    col[i] = w
-                else:
-                    del col[i]
-            if col and p != 1:
-                g = gcd(*col.values())
-                if g > 1:
-                    col = {i: v // g for i, v in col.items()}
+        reduce_column(owners, col)
     return len(owners)
+
+
+def reduce_column(owners: dict[int, dict[int, int]], col: dict[int, int]) -> bool:
+    """Reduce col ({row: nonzero}, taken over) against the reduced columns
+    in owners, each keyed by its lowest nonzero row; a col left nonzero
+    joins them.  Returns whether it did: false when col is a rational
+    combination of the owners.
+
+    col is reduced by its lowest nonzero row (the largest row index).
+    While an owner holds that row, the fraction-free update col = p·col -
+    a·owner clears it, where p and a are the owner's and the column's
+    entries there divided by their gcd and signed so that p > 0.  When
+    p ≠ 1 the result is divided by the gcd of its entries, so every value
+    stays an exact int and the scaling does not pile up from one update to
+    the next.
+    """
+    while col:
+        low = max(col)
+        owner = owners.get(low)
+        if owner is None:
+            # a fresh copy: updates in place leave the table sized
+            # for the fill, and owners live to the end
+            owners[low] = dict(col)
+            return True
+        p, a = owner[low], col[low]
+        g = gcd(p, a) if p > 0 else -gcd(p, a)
+        p, a = p // g, a // g  # p > 0 now
+        if p != 1:
+            col = {i: p * v for i, v in col.items()}
+        for i, v in owner.items():
+            w = col.get(i, 0) - a * v
+            if w:
+                col[i] = w
+            else:
+                del col[i]
+        if col and p != 1:
+            g = gcd(*col.values())
+            if g > 1:
+                col = {i: v // g for i, v in col.items()}
+    return False
 
 
 def rational_rank(matrix: SparseIntMatrix) -> int:

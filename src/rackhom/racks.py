@@ -7,8 +7,13 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
+
+DEFAULT_BASIS_CAP = 10 ** 6
+
+
+class DegreeTooLarge(ValueError):
+    """|X|^n exceeds the configured basis cap."""
 
 
 class NotBijective(ValueError):
@@ -40,8 +45,73 @@ class EmptySpec(ValueError):
     """The spec has no orbits at all (r = 0)."""
 
 
-@dataclass(frozen=True)
-class FiniteRack:
+_set_field = object.__setattr__  # bound once: records are built in bulk
+
+
+class Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    Built from its fields by position or keyword, those named in
+    ``_defaults`` being optional; ``__post_init__`` then checks them and
+    may normalize one with ``object.__setattr__``.  A record equals only a
+    record of its own type with equal fields, hashes as the tuple of its
+    fields, prints as ``Name(field=value, ...)``, and is copied and pickled
+    field by field, without ``__post_init__``.
+    """
+
+    __slots__ = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self.__slots__
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            args = tuple(values[name] for name in fields)
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), self._fields())
+
+
+def _restore(cls: type[Record], fields: tuple) -> Record:
+    """The copy or unpickled record of cls with these fields, which were
+    checked when the original was built."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        _set_field(record, name, value)
+    return record
+
+
+class FiniteRack(Record):
     """A finite set with a binary operation x ▷ y = table[x][y].
 
     Validation runs on construction: every row must be a bijection and
@@ -49,6 +119,7 @@ class FiniteRack:
     rack.  Instances are immutable and hashable.
     """
 
+    __slots__ = ("table",)
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
@@ -77,16 +148,17 @@ class FiniteRack:
         return self.table[x][y]
 
 
-@dataclass(frozen=True)
-class PermutationSpec:
+class PermutationSpec(Record):
     """Orbit data of a permutation: finite orbit sizes plus a count of free
     (infinite) orbits.  This is all the closed forms ever look at.
 
     r = total number of orbits, r_fin = number of finite ones.
     """
 
-    finite_orbit_sizes: tuple[int, ...] = ()
-    free_orbit_count: int = 0
+    __slots__ = ("finite_orbit_sizes", "free_orbit_count")
+    _defaults = {"finite_orbit_sizes": (), "free_orbit_count": 0}
+    finite_orbit_sizes: tuple[int, ...]
+    free_orbit_count: int
 
     def __post_init__(self) -> None:
         sizes = tuple(int(d) for d in self.finite_orbit_sizes)
@@ -113,11 +185,11 @@ class PermutationSpec:
         return cls(tuple(len(orbit) for orbit in dec.orbits))
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
     """Cycles of a permutation, minimal element first, sorted by minimal
     element; orbit_of[x] is the index of the cycle containing x."""
 
+    __slots__ = ("orbits", "orbit_of")
     orbits: tuple[tuple[int, ...], ...]
     orbit_of: tuple[int, ...]
 

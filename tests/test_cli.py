@@ -498,12 +498,45 @@ def test_console_script_is_installed(capsys, rack_file, tmp_path):
     assert "status: ok" in result.stdout
 
 
+@pytest.mark.parametrize("command, name", [
+    ("homology", "homology_table"),
+    ("verify", "check_table_cap"),
+    ("verify", "homology_table"),
+    ("verify", "certified_levels"),
+    ("verify", "betti_numbers"),
+    ("verify", "e2_rank"),
+    ("cycles", "certified_levels"),
+    ("betti", "betti_numbers"),
+    ("betti", "betti_reaches"),
+    ("betti", "poincare_series"),
+    ("e2", "e2_rank"),
+])
+def test_runners_call_the_layer_functions_set_on_the_cli(
+    capsys, rack_file, monkeypatch, command, name
+):
+    # the benchmark's tracer wraps layer functions by setting them on rackhom.cli
+    real, calls = getattr(rackhom.cli, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rackhom.cli, name, wrapper)
+    code, _, err = run_cli(capsys, command, "--input", rack_file(TWO_ONE), "--max-degree", "2")
+    assert (code, err) == (0, "")
+    assert calls
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     """The benchmark's traced mode (``perfbench/spans.py``) replaces named
     attributes of ``rackhom.cli``, ``homology``, ``cycles`` and
     ``closed_forms`` with wrappers, so a refactor that moves one of them
-    away breaks it.  ``Tracer.install`` patches those modules for good, so
-    it runs in a child process."""
+    away breaks it.  On ``rackhom.cli`` it finds the layer functions
+    through the module's ``__getattr__``, which imports each from its
+    module on first access; ``betti``, ``basis_recipes`` and
+    ``independence_certificate`` are there only for the tracer.
+    ``Tracer.install`` patches those modules for good, so it runs in a
+    child process."""
     source_root = str(Path(rackhom.__file__).resolve().parent.parent)
     install = (
         f"import sys; sys.path[:0] = [{str(PERFBENCH)!r}, {source_root!r}]; "

@@ -15,6 +15,7 @@ from rackhom.linalg import (
     matmul,
     rank_mod_prime,
     rational_rank,
+    reduce_column,
     smith_normal_form,
     smith_reduce,
 )
@@ -371,6 +372,16 @@ class TestColumnRank:
     def test_empty(self):
         assert column_rank([]) == 0
         assert column_rank([{}, {}]) == 0
+
+    def test_reduce_column_joins_the_owners_unless_it_is_in_their_span(self):
+        owners = {}
+        assert reduce_column(owners, {0: 2, 3: 4})
+        assert reduce_column(owners, {1: 1, 3: 6})
+        assert not reduce_column(owners, {0: 6, 1: -2})  # 3·first - 2·second
+        assert not reduce_column(owners, {})
+        assert sorted(owners) == [1, 3]
+        assert reduce_column(owners, {0: 1})
+        assert sorted(owners) == [0, 1, 3]
 
 
 class TestRankModPrime:

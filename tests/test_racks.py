@@ -1,11 +1,26 @@
-"""Rack construction, validation, and orbit decomposition."""
+"""Rack construction, validation, and orbit decomposition; the immutable
+record every value type of the package is built on."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rackhom.cli import RackDescription
+from rackhom.closed_forms import EquivariantRanks, IntPolynomial
+from rackhom.cycles import (
+    CertifiedLevel,
+    CycleRecipe,
+    DifferenceFactor,
+    OrbitAverageFactor,
+    TerminalFactor,
+)
+from rackhom.homology import HomologyGroup
+from rackhom.linalg import SmithForm, SparseIntMatrix
 from rackhom.racks import (
     EmptySpec,
     FiniteRack,
@@ -13,6 +28,7 @@ from rackhom.racks import (
     NotBijective,
     NotPermutation,
     NotSelfDistributive,
+    OrbitDecomposition,
     PermutationSpec,
     as_permutation,
     dihedral_rack,
@@ -201,3 +217,106 @@ class TestRackInvariants:
             for _ in range(20):
                 x, y, z = (rng.randrange(rack.size) for _ in range(3))
                 assert rack.op(x, rack.op(y, z)) == rack.op(rack.op(x, y), rack.op(x, z))
+
+
+SWAP = FiniteRack(((1, 0), (1, 0)))
+
+# One value of every record type, by its fields in order.  Each record type
+# was a dataclass, frozen except RackDescription.
+RECORDS = [
+    (FiniteRack, {"table": ((1, 0), (1, 0))}),
+    (PermutationSpec, {"finite_orbit_sizes": (2, 1), "free_orbit_count": 1}),
+    (OrbitDecomposition, {"orbits": ((0, 1), (2,)), "orbit_of": (0, 0, 1)}),
+    (SparseIntMatrix, {"row_count": 2, "col_count": 3, "entries": {(0, 1): 5}}),
+    (SmithForm, {"rank": 1, "divisors": (5,), "left": None, "right": None}),
+    (HomologyGroup, {"free_rank": 2, "torsion": (2, 4)}),
+    (IntPolynomial, {"coefficients": (1, 2), "order": 3}),
+    (EquivariantRanks, {"h0": 3, "h1": 2}),
+    (DifferenceFactor, {"x": 1, "y": 0}),
+    (OrbitAverageFactor, {"t": 0, "d": 2}),
+    (TerminalFactor, {"x": 1}),
+    (CycleRecipe, {"rack": SWAP, "factors": (DifferenceFactor(1, 0), TerminalFactor(0))}),
+    (CertifiedLevel, {"degree": 1, "recipes": [CycleRecipe(SWAP, (TerminalFactor(0),))], "rank": 1}),
+    (RackDescription, {"kind": "permutation", "table": None, "cycles": [[0, 1]], "free_orbits": 1}),
+]
+RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
+# The records holding a list or a dict, which hash as the dataclass did: not at all.
+UNHASHABLE = {SparseIntMatrix, CertifiedLevel, RackDescription}
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
+class TestRecords:
+    def test_positional_and_keyword_construction(self, cls, fields):
+        record = cls(*fields.values())
+        assert record == cls(**fields)
+        assert {name: getattr(record, name) for name in fields} == fields
+        with pytest.raises(TypeError):
+            cls(*fields.values(), 0)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), unknown=0)
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{next(iter(fields)): 0})
+        if cls is not PermutationSpec:  # the one record whose every field has a default
+            with pytest.raises(TypeError):
+                cls()
+
+    def test_equal_only_to_its_own_type(self, cls, fields):
+        record = cls(**fields)
+        assert record == cls(**copy.deepcopy(fields))
+        assert record != tuple(fields.values())
+        twin = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)
+        assert record != twin(**fields)
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(**copy.deepcopy(fields)))
+
+    def test_repr_is_the_dataclass_repr(self, cls, fields):
+        twin = dataclasses.make_dataclass(cls.__qualname__, list(fields), frozen=True)
+        assert repr(cls(**fields)) == repr(twin(**fields))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls, fields):
+        record = cls(**fields)
+        for name in [*fields, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(**fields)
+
+    def test_copy_deepcopy_and_pickle_round_trip(self, cls, fields, monkeypatch):
+        record = cls(**fields)
+        # a copy is not checked again: a FiniteRack's check is cubic in its size
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("checked again"))
+        for twin in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert type(twin) is cls and twin == record
+        if cls in UNHASHABLE:
+            assert copy.deepcopy(record) is not record
+
+
+def test_record_defaults():
+    assert PermutationSpec() == PermutationSpec((), 0)
+    assert HomologyGroup(3) == HomologyGroup(3, ())
+    assert SmithForm(0, ()) == SmithForm(0, (), None, None)
+    assert IntPolynomial((1,)).order is None
+    assert CycleRecipe(SWAP).factors == ()
+    assert RackDescription("table") == RackDescription("table", None, None, 0)
+    assert SparseIntMatrix(2, 2) == SparseIntMatrix(2, 2, {})
+    # a new dict for each matrix, as a dataclass default_factory gave
+    assert SparseIntMatrix(2, 2).entries is not SparseIntMatrix(2, 2).entries
+
+
+def test_record_repr_literals():
+    assert repr(HomologyGroup(8)) == "HomologyGroup(free_rank=8, torsion=())"
+    assert repr(PermutationSpec((2, 1))) == (
+        "PermutationSpec(finite_orbit_sizes=(2, 1), free_orbit_count=0)"
+    )
+    assert repr(SparseIntMatrix(1, 2)) == "SparseIntMatrix(row_count=1, col_count=2, entries={})"
+    assert repr(CycleRecipe(SWAP, (TerminalFactor(1),))) == (
+        "CycleRecipe(rack=FiniteRack(table=((1, 0), (1, 0))), factors=(TerminalFactor(x=1),))"
+    )
