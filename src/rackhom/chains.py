@@ -12,12 +12,14 @@ from itertools import product
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import SparseIntMatrix
-from .racks import (
+from .racks import (  # DegreeTooLarge is re-exported
     DEFAULT_BASIS_CAP,
     DegreeTooLarge,
     FiniteRack,
     NotPermutation,
     as_permutation,
+    check_basis,
+    check_count,
     orbit_decomposition,
 )
 
@@ -160,17 +162,11 @@ def _add_term(coeffs: dict[Monomial, int], mono: Monomial, coeff: int) -> None:
         del coeffs[mono]
 
 
-def _check_cap(size: int, n: int, cap: int) -> None:
-    if size ** n > cap:
-        raise DegreeTooLarge(f"{size}^{n} basis monomials exceed the cap of {cap}")
-
-
 def _check_degree(size: int, n: int, cap: int) -> None:
-    """`_check_cap`, then the degree itself: on the one-element rack |X|^n
-    is 1 in every degree, but the work of one degree grows with n."""
-    _check_cap(size, n, cap)
-    if n > cap:
-        raise DegreeTooLarge(f"degree {n} exceeds the cap of {cap}")
+    """|X|^n against the cap, then the degree itself: on the one-element
+    rack |X|^n is 1 in every degree, but the work of one degree grows with n."""
+    check_basis(size, range(n, n + 1), cap)
+    check_count(n, cap, "degree {} exceeds")
 
 
 def enumerate_basis(

@@ -27,6 +27,7 @@ from .racks import (
     PermutationSpec,
     Record,
     as_permutation,
+    check_count,
     orbit_decomposition,
     validate_rack,
 )
@@ -247,8 +248,7 @@ def _check_work(count: int, what: str, cap: int, spec: PermutationSpec, degree: 
     values asked for, held to the same cap.  None of those values exceeds
     b_degree (E^2 cells are nonnegative and sum to b_n on each antidiagonal),
     which must also print within the interpreter's digit limit, if any."""
-    if count > cap:
-        raise DegreeTooLarge(f"{count} {what} exceed the cap of {cap}")
+    check_count(count, cap, "{} {} exceed", what)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python >= 3.10.7
     if digits and _cli.betti_reaches(spec, degree, 10**digits):
         raise DegreeTooLarge(f"b_{degree} has more than {digits} digits, too many to print")

@@ -28,7 +28,6 @@ from typing import Iterator, Sequence, Union
 from .chains import (
     DEFAULT_BASIS_CAP,
     Chain,
-    DegreeTooLarge,
     IndexedChain,
     detection_map,
     _as_chain,
@@ -37,11 +36,12 @@ from .chains import (
 from .linalg import SparseIntMatrix, column_rank, rational_rank
 from .racks import (
     FiniteRack,
-    NotPermutation,
     OrbitDecomposition,
     Record,
-    as_permutation,
+    check_basis,
+    check_count,
     orbit_decomposition,
+    require_permutation,
 )
 
 
@@ -140,7 +140,7 @@ def difference_product(
 
     On a permutation rack every chain of this shape is a cycle.
     """
-    _require_permutation(rack)
+    require_permutation(rack)
     chain = Chain.monomial((terminal,))
     for x, y in reversed(tuple(pairs)):
         chain = chain.prepend(x) - chain.prepend(y)
@@ -149,7 +149,7 @@ def difference_product(
 
 def fixed_point_square(rack: FiniteRack, t: int, c: Chain) -> Chain:
     """t·t·c; commutes with the boundary when t is a fixed point."""
-    phi = _require_permutation(rack)
+    phi = require_permutation(rack)
     if phi[t] != t:
         raise NotFixedPoint(f"{t} is not fixed")
     return c.prepend(t).prepend(t)
@@ -161,7 +161,7 @@ def orbit_average(rack: FiniteRack, t: int, c: Chain) -> Chain:
     φ acts entrywise on monomials.  The map commutes with the boundary, so
     cycles go to cycles; for a fixed point (d = 1) it is exactly t·t·c.
     """
-    phi = _require_permutation(rack)
+    phi = require_permutation(rack)
     d = 1
     x = phi[t]
     while x != t:
@@ -186,12 +186,7 @@ def basis_recipes(
     two degrees down.  The count reproduces the Betti recursion with
     r_fin = r.
     """
-    phi = _require_permutation(rack)
-    if n < 0:
-        raise ValueError("negative degree")
-    if rack.size ** n > cap:
-        raise DegreeTooLarge(f"{rack.size}^{n} exceeds the cap of {cap}")
-    _check_cycle_work(rack, n, cap, chains=False, recipes=True)
+    phi = _check_cycle_work(rack, n, cap, chains=False, recipes=True)
     return _last(_recipe_levels(rack, orbit_decomposition(phi), n))
 
 
@@ -306,14 +301,11 @@ def _check_cycle_work(
     degree; with recipes, the number of recipe factors of all the degrees,
     which the recipes' tuples and text grow with; last the degree itself,
     which the work on the one-element rack grows with."""
-    phi = _require_permutation(rack)
+    phi = require_permutation(rack)
     if max_degree < 0:
         raise ValueError("negative degree")
     size = rack.size
-    # with |X| >= 2, |X|^n passes the cap by n = cap.bit_length()
-    for n in range(min(max_degree, cap.bit_length()) + 1):
-        if size ** n > cap:
-            raise DegreeTooLarge(f"{size}^{n} exceeds the cap of {cap}")
+    check_basis(size, range(max_degree + 1), cap, "exceeds")
     if size == 1:
         # one chain term and ⌈n/2⌉ recipe factors in every degree n
         terms, factors = 1, (max_degree + 1) ** 2 // 4
@@ -321,12 +313,11 @@ def _check_cycle_work(
         r = len(orbit_decomposition(phi).orbits)
         terms = chain_term_counts(size, r, max_degree)[-1]
         factors = sum(recipe_factor_counts(r, max_degree))
-    if chains and terms > cap:
-        raise DegreeTooLarge(f"{terms} cycle chain terms exceed the cap of {cap}")
-    if recipes and factors > cap:
-        raise DegreeTooLarge(f"{factors} cycle recipe factors exceed the cap of {cap}")
-    if max_degree > cap:
-        raise DegreeTooLarge(f"degree {max_degree} exceeds the cap of {cap}")
+    if chains:
+        check_count(terms, cap, "{} cycle chain terms exceed")
+    if recipes:
+        check_count(factors, cap, "{} cycle recipe factors exceed")
+    check_count(max_degree, cap, "degree {} exceeds")
     return phi
 
 
@@ -386,7 +377,7 @@ def indexed_certificate(
     table, keyed by the base-r index of the orbit tuple, and goes to the
     rank as one column.
     """
-    decomposition = orbit_decomposition(_require_permutation(rack))
+    decomposition = orbit_decomposition(require_permutation(rack))
     detect = _DigitwiseMap(decomposition.orbit_of, len(decomposition.orbits))
     high, low, divisor = detect.split(degree)
 
@@ -417,7 +408,7 @@ def independence_certificate(
     degrees = {c.degree for c in chains}
     if len(degrees) != 1:
         raise MixedDegrees(f"degrees {sorted(degrees)}")
-    phi = _require_permutation(rack)
+    phi = require_permutation(rack)
     orbit_of = orbit_decomposition(phi).orbit_of
     images = [detection_map(c, orbit_of) for c in chains]
     support = sorted({mono for image in images for mono in image.support()})
@@ -436,10 +427,3 @@ def _last(levels: Iterator[list]) -> list:
     for level in levels:
         pass
     return level
-
-
-def _require_permutation(rack: FiniteRack) -> tuple[int, ...]:
-    phi = as_permutation(rack)
-    if phi is None:
-        raise NotPermutation("rows of the table differ")
-    return phi

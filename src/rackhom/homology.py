@@ -14,7 +14,9 @@ content is 1: the cycles of d_{n-1} are fixed by their other coordinates,
 so the Smith form of d_n does not change (the compression of Bauer,
 Kerber & Reininghaus, over Z; the lemma is in `linalg.smith_reduce`).
 `rack_homology` reduces its two boundaries whole, with no start set and no
-rows dropped, and is the oracle for the table.
+rows dropped, and is the oracle for the table.  The table also checks each
+free rank against o^n, where o is the number of orbits of X under the maps
+x▷(-) (Etingof & Graña); the oracle is left unchecked.
 """
 
 from __future__ import annotations
@@ -22,16 +24,14 @@ from __future__ import annotations
 from .chains import (
     DEFAULT_BASIS_CAP,
     Chain,
-    DegreeTooLarge,
     apply_boundary,
     boundary_columns,
     boundary_matrix,
-    _check_cap,
     _check_degree,
     _rank_of,
 )
 from .linalg import reduce_column, smith_normal_form, smith_reduce
-from .racks import FiniteRack, Record, start_set
+from .racks import FiniteRack, Record, check_basis, check_count, orbit_count, start_set
 
 
 class NotACycle(ValueError):
@@ -80,9 +80,7 @@ def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> Hom
 def check_table_cap(size: int, max_degree: int, cap: int) -> None:
     """Raise DegreeTooLarge unless every boundary d_2 .. d_{max_degree+1}
     that `homology_table` builds fits the cap, smallest degree first."""
-    # size^n exceeds the cap once n > cap.bit_length(), unless size is 1
-    for n in range(2, min(max_degree, cap.bit_length() + 1) + 2):
-        _check_cap(size, n, cap)
+    check_basis(size, range(2, max_degree + 2), cap)
 
 
 def _check_table_work(size: int, max_degree: int, cap: int) -> None:
@@ -92,8 +90,7 @@ def _check_table_work(size: int, max_degree: int, cap: int) -> None:
     work = 0
     for n in range(2, max_degree + 2):
         work += n * size ** n
-        if work > cap:
-            raise DegreeTooLarge(f"{work} basis digits of d_2 .. d_{n} exceed the cap of {cap}")
+        check_count(work, cap, "{} basis digits of d_2 .. d_{} exceed", n)
 
 
 def homology_table(
@@ -106,8 +103,11 @@ def homology_table(
     digits of all their bases, before any is built.  Each d_n is built
     from the columns that start in `racks.start_set` and without the rows
     named by the pivot columns that d_{n-1}'s reduction returns; both
-    leave the rank and divisors as they are.
+    leave the rank and divisors as they are.  Every free rank is then
+    checked against o^n, o the `racks.orbit_count` (Etingof & Graña).
     """
+    if max_degree < 0:
+        raise ValueError("negative degree")
     size = rack.size
     check_table_cap(size, max_degree, cap)
     _check_table_work(size, max_degree, cap)
@@ -118,10 +118,14 @@ def homology_table(
         divisors, pivots = smith_reduce(boundary_columns(rack, n, cap, starts, pivots))
         ranks.append(len(divisors))
         torsion.append(tuple(d for d in divisors if d > 1))
-    return [
-        HomologyGroup(size ** n - ranks[n] - ranks[n + 1], torsion[n + 1])
-        for n in range(max_degree + 1)
-    ]
+    orbits = orbit_count(rack)
+    groups = []
+    for n in range(max_degree + 1):
+        free_rank = size ** n - ranks[n] - ranks[n + 1]
+        if free_rank != orbits ** n:
+            raise AssertionError(f"free rank {free_rank} of HR_{n} is not o^{n} = {orbits ** n}")
+        groups.append(HomologyGroup(free_rank, torsion[n + 1]))
+    return groups
 
 
 def is_cycle(rack: FiniteRack, c: Chain) -> bool:

@@ -16,6 +16,24 @@ class DegreeTooLarge(ValueError):
     """|X|^n exceeds the configured basis cap."""
 
 
+def check_basis(size: int, degrees: range, cap: int, verb: str = "basis monomials exceed") -> None:
+    """Raise DegreeTooLarge for the smallest n in degrees with size^n over
+    the cap.  With size >= 2, size^n >= 2^n > cap once n >= cap.bit_length(),
+    so no power past that is computed; 1^n is 1 in every degree."""
+    if size == 1:
+        degrees = degrees[:1]
+    for n in degrees:
+        if size ** min(n, cap.bit_length()) > cap:
+            raise DegreeTooLarge(f"{size}^{n} {verb} the cap of {cap}")
+
+
+def check_count(count: int, cap: int, text: str, *args: object) -> None:
+    """Raise DegreeTooLarge if count exceeds the cap; text says what was
+    counted, as a format string of count and args, formatted only then."""
+    if count > cap:
+        raise DegreeTooLarge(f"{text.format(count, *args)} the cap of {cap}")
+
+
 class NotBijective(ValueError):
     """Row x of the table is not a permutation of the element set."""
 
@@ -178,10 +196,7 @@ class PermutationSpec(Record):
 
     @classmethod
     def from_rack(cls, rack: FiniteRack) -> "PermutationSpec":
-        phi = as_permutation(rack)
-        if phi is None:
-            raise NotPermutation("rows of the table differ")
-        dec = orbit_decomposition(phi)
+        dec = orbit_decomposition(require_permutation(rack))
         return cls(tuple(len(orbit) for orbit in dec.orbits))
 
 
@@ -309,6 +324,24 @@ def as_permutation(rack: FiniteRack) -> Optional[tuple[int, ...]]:
         if row != first:
             return None
     return first
+
+
+def require_permutation(rack: FiniteRack) -> tuple[int, ...]:
+    """φ, or raise NotPermutation if the rows of the table differ."""
+    phi = as_permutation(rack)
+    if phi is None:
+        raise NotPermutation("rows of the table differ")
+    return phi
+
+
+def orbit_count(rack: FiniteRack) -> int:
+    """The number of orbits of X under all the maps x▷(-): by Etingof and
+    Graña, the free rank of HR_n is its n-th power."""
+    parent = list(range(rack.size))
+    for row in rack.table:
+        for y, z in enumerate(row):
+            _union(parent, y, z)
+    return sum(1 for x, root in enumerate(parent) if x == root)
 
 
 def orbit_decomposition(phi: Sequence[int]) -> OrbitDecomposition:

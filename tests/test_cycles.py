@@ -340,6 +340,8 @@ class TestCertifiedLevels:
             certified_levels(swap, 4, cap=10)
         with pytest.raises(DegreeTooLarge, match=r"^3\^3 exceeds the cap of 26$"):
             certified_levels(fixed_3, 13, cap=26)
+        with pytest.raises(DegreeTooLarge, match=r"^3\^13 exceeds the cap of 1000000$"):
+            basis_recipes(permutation_rack(PermutationSpec((3,))), 20)  # the smallest degree over
         terms = r"^3226767 cycle chain terms exceed the cap of 1000000$"
         with pytest.raises(DegreeTooLarge, match=terms):
             certified_levels(fixed_3, 10)

@@ -35,6 +35,7 @@ from rackhom.racks import (
     FiniteRack,
     PermutationSpec,
     dihedral_rack,
+    orbit_count,
     orbit_decomposition,
     permutation_rack,
     start_set,
@@ -83,6 +84,21 @@ class TestRackHomology:
         with pytest.raises(DegreeTooLarge, match=r"^3\^4 basis monomials exceed the cap of 80$"):
             rack_homology(permutation_rack(PermutationSpec((3,))), 4, cap=80)
 
+    def test_no_entry_point_computes_a_power_past_the_cap(self):
+        # 3^(10^7) alone takes seconds, and each tenfold degree some 28 times more
+        dihedral, cycle = dihedral_rack(3), permutation_rack(PermutationSpec((3,)))
+        monomials = r"^3\^1000000000 basis monomials exceed the cap of 1000000$"
+        for entry, rack, message in (
+            (enumerate_basis, dihedral, monomials),
+            (boundary_matrix, dihedral, monomials),
+            (rack_homology, dihedral, monomials),
+            (basis_recipes, cycle, r"^3\^13 exceeds the cap of 1000000$"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(DegreeTooLarge, match=message):
+                entry(rack, 10**9)
+            assert time.perf_counter() - start < 1.0, entry
+
     def test_one_element_rack_is_held_to_the_cap_at_every_entry_point(self):
         # |X|^n is 1 in every degree there, but a boundary's or a level's
         # work grows with n, and the recipes' factors with n²
@@ -109,6 +125,25 @@ class TestRackHomology:
 
 
 class TestHomologyTable:
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match=r"^negative degree$"):
+            homology_table(dihedral_rack(3), -1)
+        with pytest.raises(ValueError, match=r"^negative degree$"):
+            homology_table(trivial_rack(2), -1, cap=0)  # before the cap
+
+    def test_free_ranks_are_checked_against_the_orbit_count(self, monkeypatch):
+        reduce = rackhom.homology.smith_reduce
+        degrees = iter(range(2, 5))  # d_2, d_3, d_4, bottom up
+
+        def dropping_d3(columns):
+            divisors, pivots = reduce(columns)
+            return (divisors[1:] if next(degrees) == 3 else divisors), pivots
+
+        monkeypatch.setattr(rackhom.homology, "smith_reduce", dropping_d3)
+        # rank d_3 one short leaves HR_2 one too wide
+        with pytest.raises(AssertionError, match=r"^free rank 2 of HR_2 is not o\^2 = 1$"):
+            homology_table(dihedral_rack(3), 3)
+
     def test_trivial_is_powers_of_size(self):
         groups = homology_table(trivial_rack(3), 3)
         assert [g.free_rank for g in groups] == [1, 3, 9, 27]
@@ -265,6 +300,7 @@ def test_free_rank_is_the_orbit_count_to_the_degree(rack, max_degree):
     # Etingof & Graña: the free rank of HR_n of a finite rack is o^n, o the
     # number of orbits under the maps x▷(-); no reduction is needed for it
     o = inner_orbit_count(rack)
+    assert orbit_count(rack) == o
     ranks = [group.free_rank for group in homology_table(rack, max_degree)]
     assert ranks == [o ** n for n in range(max_degree + 1)]
 

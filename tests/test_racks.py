@@ -5,11 +5,14 @@ import copy
 import dataclasses
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rackhom.racks
+from corpus import permutation_racks
 from rackhom.cli import RackDescription
 from rackhom.closed_forms import EquivariantRanks, IntPolynomial
 from rackhom.cycles import (
@@ -22,6 +25,7 @@ from rackhom.cycles import (
 from rackhom.homology import HomologyGroup
 from rackhom.linalg import SmithForm, SparseIntMatrix
 from rackhom.racks import (
+    DegreeTooLarge,
     EmptySpec,
     FiniteRack,
     InfiniteOrbits,
@@ -31,9 +35,13 @@ from rackhom.racks import (
     OrbitDecomposition,
     PermutationSpec,
     as_permutation,
+    check_basis,
+    check_count,
     dihedral_rack,
+    orbit_count,
     orbit_decomposition,
     permutation_rack,
+    require_permutation,
     trivial_rack,
     validate_rack,
 )
@@ -131,6 +139,66 @@ class TestAsPermutation:
 
     def test_dihedral_is_not(self):
         assert as_permutation(dihedral_rack(3)) is None
+
+    def test_require_permutation_is_phi_or_refuses(self):
+        assert require_permutation(permutation_rack(PermutationSpec((3,)))) == (1, 2, 0)
+        with pytest.raises(NotPermutation, match=r"^rows of the table differ$"):
+            require_permutation(dihedral_rack(3))
+
+
+class TestOrbitCount:
+    def test_permutation_rack_has_one_orbit_per_cycle_of_phi(self):
+        for rack in permutation_racks(6):
+            assert orbit_count(rack) == len(orbit_decomposition(as_permutation(rack)).orbits)
+
+    def test_dihedral_racks(self):
+        # x▷y = 2x - y keeps the parity of y when n is even
+        assert [orbit_count(dihedral_rack(n)) for n in range(1, 9)] == [1, 2, 1, 2, 1, 2, 1, 2]
+
+
+# Caps over the whole range, and each power of a size up to 2^40 with its
+# two neighbours, where size^n > cap turns.
+POWERS = sorted({b ** k for b in range(2, 7) for k in range(41) if b ** k <= 2 ** 40})
+CAPS = st.one_of(
+    st.integers(-1, 2 ** 40),
+    st.builds(lambda power, step: power + step, st.sampled_from(POWERS), st.integers(-1, 1)),
+)
+
+
+class TestCapGates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 64), st.integers(0, 64), CAPS)
+    def test_basis_check_is_the_exact_comparison(self, size, low, high, cap):
+        degrees = range(low, high + 1)
+        over = [n for n in degrees if size ** n > cap]
+        if not over:
+            check_basis(size, degrees, cap)
+            return
+        with pytest.raises(DegreeTooLarge) as caught:
+            check_basis(size, degrees, cap)
+        assert str(caught.value) == f"{size}^{over[0]} basis monomials exceed the cap of {cap}"
+
+    def test_messages(self):
+        with pytest.raises(DegreeTooLarge, match=r"^3\^13 exceeds the cap of 1000000$"):
+            check_basis(3, range(10**9), 10**6, "exceeds")
+        with pytest.raises(DegreeTooLarge, match=r"^1\^0 exceeds the cap of 0$"):
+            check_basis(1, range(10**9), 0, "exceeds")
+        check_basis(1, range(10**9), 1)
+        check_count(7, 7, "degree {} exceeds")
+        with pytest.raises(DegreeTooLarge, match=r"^8 cells of d_2 \.\. d_5 exceed the cap of 7$"):
+            check_count(8, 7, "{} cells of d_2 .. d_{} exceed", 5)
+
+    def test_only_racks_words_a_cap_refusal_or_the_permutation_test(self):
+        # every layer calls check_basis, check_count and require_permutation
+        # rather than growing its own copy of the test and its message
+        refusal = 'NotPermutation("rows of the table differ")'
+        for path in sorted(Path(rackhom.racks.__file__).parent.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            if path.name == "racks.py":
+                assert text.count("the cap of") == 2 and text.count(refusal) == 1
+            else:
+                assert "the cap of" not in text, path.name
+                assert refusal not in text, path.name
 
 
 class TestOrbitDecomposition:
