@@ -282,7 +282,7 @@ def _cycle_columns(levels: Iterator[CertifiedLevel]) -> list[dict[str, Any]]:
             "bn_size": len(level.recipes),
             "certificate_rank": level.rank,
             "independent": level.independent,
-            "recipes": [recipe.describe() for recipe in level.recipes],
+            "recipes": level.recipes,
         }
         for level in levels
     ]
@@ -366,8 +366,71 @@ def _cell(key: str, value: Any, missing: str, no_torsion: str) -> str:
     return str(value)
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def emit_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2)
+    """What `json.dumps(report, indent=2)` writes, for dicts with str keys,
+    lists, tuples and scalars, built in one loop over a stack of the open
+    containers instead of the stdlib's chain of generators.
+
+    Every separator, quoted key and int is a part of its own, made once and
+    shared by every place it is written, so a series of a million zeros
+    costs two pointers per item, not a string.  Each distinct int is
+    converted to decimal once: `betti` prints every Betti number in its row
+    and again in the series, and that conversion is most of the work.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    parts: list[str] = []
+    append = parts.append
+    digits: dict[int, str] = {}
+    keys: dict[str, str] = {}  # each key, quoted, with its colon
+    # per open container: its items, whether keyed, the lead of its next
+    # item, the separator and the closing; the report is the one item of an
+    # outer list with no lead and no closing
+    frames: list[list[Any]] = [[iter((report,)), False, "", "", ""]]
+    while frames:
+        frame = frames[-1]
+        items, keyed, lead, separator, closing = frame
+        for value in items:
+            append(lead)
+            lead = separator
+            if keyed:
+                key, value = value
+                text = keys.get(key)
+                if text is None:
+                    text = keys[key] = quote(key) + ": "
+                append(text)
+            kind = type(value)
+            if kind is int:
+                text = digits.get(value)
+                if text is None:
+                    text = digits[value] = int.__repr__(value)
+                append(text)
+            elif kind is str:
+                append(quote(value))
+            elif value is None or kind is bool:
+                append(_CONSTANTS[value])
+            elif not isinstance(value, (list, tuple, dict)):
+                append(json.dumps(value))  # floats, subclasses; TypeError on the rest
+            elif not value:
+                append("{}" if isinstance(value, dict) else "[]")
+            else:
+                frame[2] = separator  # this container's lead once it resumes
+                inner = isinstance(value, dict)
+                indent = "\n" + "  " * (len(frames) - 1)
+                frames.append([
+                    iter(value.items() if inner else value),
+                    inner,
+                    "[{"[inner] + indent + "  ",
+                    "," + indent + "  ",
+                    indent + "]}"[inner],
+                ])
+                break
+        else:
+            frames.pop()
+            append(closing)
+    return "".join(parts)
 
 
 def emit_csv(report: dict[str, Any]) -> str:

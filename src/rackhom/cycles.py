@@ -7,34 +7,29 @@ send cycles to cycles, and the images of the resulting chains under the
 orbit detection map stay linearly independent, which a rank computation
 certifies exactly.
 
-`certified_levels` builds the basis of every degree 0..D in one pass, each
-level from the two below it, on `chains.IndexedChain`s, keyed by their
-monomials' lexicographic indices: (q - q*)·c is two shifted copies of c,
-and avg(t)(c) is d copies of t·t·c with φ applied digit by digit.  Every
-term of every chain is then read through an orbit-id table into a base-r
-index, whose numeric order is the lexicographic order of orbit tuples, and
-the images go as columns straight to `linalg.column_rank`.  Both tables
-come from `chains._DigitwiseMap`, split into high and low digits so that
-none outgrows the work it serves.  No factor cancels, so the number of
-terms is known before any work and is held to the cap.
-`CycleRecipe.evaluate` and `independence_certificate`, on tuple-keyed
-`Chain`s, are the oracles for the pass.
+`certified_levels` certifies every degree 0..D in one pass, each level
+built from the two below it on orbit words, without building a chain:
+detection sends each letter to its orbit and φ keeps orbits, so the image
+of (q - q*)·c is two shifted copies of the image of c, and the image of
+avg(t)(c) is d_t times one shifted copy.  Images are keyed by the base-r
+index of their orbit words, whose numeric order is the lexicographic order
+of orbit tuples, and go as columns straight to `linalg.column_rank`; each
+recipe's text is built the same way, one factor in front of a text from
+below.  No factor cancels, so the number of terms is known before any work
+and is held to the cap.
+The oracles for the pass build the chains themselves: `cycle_basis` on
+`chains.IndexedChain`s, and `CycleRecipe.evaluate` and
+`independence_certificate` on tuple-keyed `Chain`s.  The functions that
+build chains import `chains` when called, so the pass loads none of it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .chains import (
-    DEFAULT_BASIS_CAP,
-    Chain,
-    IndexedChain,
-    detection_map,
-    _as_chain,
-    _DigitwiseMap,
-)
 from .linalg import SparseIntMatrix, column_rank, rational_rank
 from .racks import (
+    DEFAULT_BASIS_CAP,
     FiniteRack,
     OrbitDecomposition,
     Record,
@@ -43,6 +38,9 @@ from .racks import (
     orbit_decomposition,
     require_permutation,
 )
+
+if TYPE_CHECKING:
+    from .chains import Chain, IndexedChain
 
 
 class NotFixedPoint(ValueError):
@@ -122,6 +120,8 @@ class CycleRecipe(Record):
         return total
 
     def evaluate(self) -> Chain:
+        from .chains import Chain
+
         chain = Chain.monomial(())
         for factor in reversed(self.factors):
             chain = factor.apply(self.rack, chain)
@@ -140,6 +140,8 @@ def difference_product(
 
     On a permutation rack every chain of this shape is a cycle.
     """
+    from .chains import Chain
+
     require_permutation(rack)
     chain = Chain.monomial((terminal,))
     for x, y in reversed(tuple(pairs)):
@@ -161,6 +163,8 @@ def orbit_average(rack: FiniteRack, t: int, c: Chain) -> Chain:
     φ acts entrywise on monomials.  The map commutes with the boundary, so
     cycles go to cycles; for a fixed point (d = 1) it is exactly t·t·c.
     """
+    from .chains import Chain
+
     phi = require_permutation(rack)
     d = 1
     x = phi[t]
@@ -227,6 +231,8 @@ def _chain_levels(
     t·φ^i(t)·φ^i(c): the copies differ in their second digit, so their keys
     are disjoint too, and φ^i(c) is φ applied digitwise to φ^(i-1)(c).
     """
+    from .chains import _DigitwiseMap
+
     size = len(phi)
     reps = [orbit[0] for orbit in decomposition.orbits]
     shift = _DigitwiseMap(phi, size)
@@ -298,9 +304,10 @@ def _check_cycle_work(
     """φ of the rack, once the basis of every degree 0..max_degree fits the
     cap; else raise DegreeTooLarge.  Checked in turn: |X|^n for each n,
     smallest first; with chains, the number of chain terms of the top
-    degree; with recipes, the number of recipe factors of all the degrees,
-    which the recipes' tuples and text grow with; last the degree itself,
-    which the work on the one-element rack grows with."""
+    degree, which also bounds the certified pass, since an image never has
+    more terms than its chain; with recipes, the number of recipe factors
+    of all the degrees, which the recipes' tuples and text grow with; last
+    the degree itself, which the work on the one-element rack grows with."""
     phi = require_permutation(rack)
     if max_degree < 0:
         raise ValueError("negative degree")
@@ -323,20 +330,23 @@ def _check_cycle_work(
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
     """The evaluated lower-bound basis chains; all are cycles and their
-    number equals the closed-form Betti number.  Built by the same pass as
-    `certified_levels`."""
+    number equals the closed-form Betti number.  Built level by level, each
+    level from the two below it (`_chain_levels`)."""
+    from .chains import _as_chain
+
     phi = _check_cycle_work(rack, n, cap)
     chains = _last(_chain_levels(phi, orbit_decomposition(phi), n))
     return [_as_chain(chain, rack.size, n) for chain in chains]
 
 
 class CertifiedLevel(Record):
-    """The basis recipes of one degree and the rank of their chains'
-    detection images; independent when the rank is the number of recipes."""
+    """The basis recipes of one degree, as text, and the rank of their
+    chains' detection images; independent when the rank is the number of
+    recipes."""
 
     __slots__ = ("degree", "recipes", "rank")
     degree: int
-    recipes: list[CycleRecipe]
+    recipes: list[str]
     rank: int
 
     @property
@@ -351,48 +361,70 @@ def certified_levels(
 
     The cap is checked for every degree, and for the number of recipe
     factors (`_check_cycle_work`), when this is called, before any level
-    is built.
+    is built.  Each level's images are ranked avg block first: rank does
+    not depend on the column order, and in that order far fewer columns
+    need updates.  The ranking updates its columns in place, and the
+    levels above still read the images, so it is given copies.
     """
-    return _certify(rack, _check_cycle_work(rack, max_degree, cap, recipes=True), max_degree)
-
-
-def _certify(rack: FiniteRack, phi: Sequence[int], max_degree: int) -> Iterator[CertifiedLevel]:
-    decomposition = orbit_decomposition(phi)
-    levels = zip(
-        _recipe_levels(rack, decomposition, max_degree),
-        _chain_levels(phi, decomposition, max_degree),
+    phi = _check_cycle_work(rack, max_degree, cap, recipes=True)
+    levels = _word_levels(orbit_decomposition(phi), max_degree)
+    return (
+        CertifiedLevel(n, texts, column_rank(map(dict, reversed(images))))
+        for n, (texts, images) in enumerate(levels)
     )
-    for n, (recipes, chains) in enumerate(levels):
-        yield CertifiedLevel(n, recipes, indexed_certificate(rack, n, chains)[0])
 
 
-def indexed_certificate(
-    rack: FiniteRack, degree: int, chains: Sequence[IndexedChain]
-) -> tuple[int, bool]:
-    """`independence_certificate` for chains of one degree given as
-    {index: coeff}: the rank of their detection images, and whether it is
-    the number of chains.
+def _word_levels(
+    decomposition: OrbitDecomposition, max_degree: int
+) -> Iterator[tuple[list[str], list[IndexedChain]]]:
+    """The recipe texts of degrees 0..max_degree and the detection images
+    of their chains, one level per degree in the order of `basis_recipes`,
+    each level built from the two below it.
 
-    Each image is read off every term of its chain through an orbit-id
-    table, keyed by the base-r index of the orbit tuple, and goes to the
-    rank as one column.
+    An image is keyed by the base-r index of its orbit words.  Detection
+    sends each letter to its orbit, and φ keeps orbits, so the image of
+    (q - q*)·c is the image of c shifted by orbit(q)·r^(n-1), minus the
+    same shifted by orbit(q*)·r^(n-1), whose keys are disjoint; and the
+    d_t copies t·φ^i(t)·φ^i(c) of avg(t)(c) all detect to the image of
+    t·t·c, so its image is d_t times the image of c shifted by
+    orbit(t)·(r+1)·r^(n-2).  Neither step cancels a term, so no image
+    holds a zero.
     """
-    decomposition = orbit_decomposition(require_permutation(rack))
-    detect = _DigitwiseMap(decomposition.orbit_of, len(decomposition.orbits))
-    high, low, divisor = detect.split(degree)
-
-    def images() -> Iterator[IndexedChain]:
-        for chain in chains:
-            image: IndexedChain = {}
-            for i, v in chain.items():
-                key = high[i // divisor] + low[i % divisor]
-                image[key] = image.get(key, 0) + v
-            if 0 in image.values():
-                image = {key: v for key, v in image.items() if v}
-            yield image
-
-    rank = column_rank(images())
-    return rank, rank == len(chains)
+    orbit_of = decomposition.orbit_of
+    reps = [orbit[0] for orbit in decomposition.orbits]
+    r = len(reps)
+    older_texts: list[str] = []
+    older: list[IndexedChain] = []
+    texts, images = ["1"], [{0: 1}]
+    yield texts, images
+    if max_degree >= 1:
+        older_texts, older = texts, images
+        texts, images = [f"({q})" for q in reps], [{orbit_of[q]: 1} for q in reps]
+        yield texts, images
+    for n in range(2, max_degree + 1):
+        first, second = r ** (n - 1), r ** (n - 2)
+        minus = orbit_of[reps[0]] * first
+        # the -q*·b half of (q - q*)·b is the same for every q
+        negated = [{i + minus: -v for i, v in image.items()} for image in images]
+        level_texts: list[str] = []
+        level: list[IndexedChain] = []
+        for q in reps[1:]:
+            plus, factor = orbit_of[q] * first, f"({q}-{reps[0]})·"
+            level_texts += [factor + text for text in texts]
+            for image, low in zip(images, negated):
+                word = {i + plus: v for i, v in image.items()}
+                word.update(low)
+                level.append(word)
+        for t, d in zip(reps, decomposition.sizes):
+            head = orbit_of[t] * (first + second)
+            if n == 2:  # over the empty product
+                level_texts.append(f"avg({t})")
+            else:
+                level_texts += [f"avg({t})·" + text for text in older_texts]
+            level += [{i + head: d * v for i, v in image.items()} for image in older]
+        older_texts, older = texts, images
+        texts, images = level_texts, level
+        yield texts, images
 
 
 def independence_certificate(
@@ -403,6 +435,8 @@ def independence_certificate(
     Rows are indexed by the monomials actually hit, which leaves the rank
     unchanged.  independent means the rank equals the number of chains.
     """
+    from .chains import detection_map
+
     if not chains:
         return 0, True
     degrees = {c.degree for c in chains}

@@ -10,11 +10,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rackhom
 import rackhom.cli
 import rackhom.cycles
-from rackhom.cli import RackDescription, main
+from rackhom.cli import RackDescription, emit_json, main
 from rackhom.closed_forms import betti_numbers
 from rackhom.racks import PermutationSpec
 
@@ -147,6 +149,7 @@ class TestErrorMapping:
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         path = rack_file({"kind": "permutation", "cycles": [[0], [1], [2]]})
         for command, degree, message in (
@@ -178,6 +181,7 @@ class TestErrorMapping:
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         for command, degree, cap, factors in (
             ("cycles", "20", "100", 110),
@@ -457,6 +461,42 @@ class TestRoundTripAndDeterminism:
             )
             outputs.add(out)
         assert len(outputs) == 1
+
+
+# Ints drawn from a small pool repeat, so the writer's one conversion per
+# distinct int is reused; True and False hash like 1 and 0 and must not be
+# written as them, nor they as true and false.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, True, False, 10**400, -(10**400), 3**1000, -(2**64)]),
+    st.integers(),
+    st.text(alphabet=st.sampled_from('a"\\/·\n\t\x00\x1f\x7f\u2028é😀 ')),
+    st.text(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=6)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example([1, True, 1, False, 0, None, [], {}, [[]], {"": {}}])
+@example({"b": [10**400, -(10**400), 10**400], "a": "(1-0)·avg(2)·\"\x01"})
+def test_emit_json_writes_what_json_dumps_writes(value):
+    assert emit_json(value) == json.dumps(value, indent=2)
+
+
+def test_emit_json_writes_floats_and_refuses_what_json_cannot_hold():
+    value = [1.5, float("inf"), {"x": -0.0}, float("nan")]
+    assert emit_json(value) == json.dumps(value, indent=2)
+    for value in ([object()], {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            emit_json(value)
 
 
 def test_console_script_is_installed(capsys, rack_file, tmp_path):

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import rackhom.cycles
-from corpus import permutation_racks, random_chain
-from rackhom.chains import Chain, DegreeTooLarge, apply_boundary
+from corpus import permutation_racks, random_chain, relabeled_rack
+from rackhom.chains import Chain, DegreeTooLarge, _DigitwiseMap, apply_boundary
 from rackhom.closed_forms import betti
 from rackhom.cycles import (
     CycleRecipe,
@@ -23,7 +23,6 @@ from rackhom.cycles import (
     difference_product,
     fixed_point_square,
     independence_certificate,
-    indexed_certificate,
     orbit_average,
     recipe_factor_counts,
 )
@@ -34,6 +33,7 @@ from rackhom.racks import (
     PermutationSpec,
     as_permutation,
     dihedral_rack,
+    orbit_decomposition,
     permutation_rack,
 )
 
@@ -53,17 +53,6 @@ def relabeled(rack: FiniteRack, seed: int) -> FiniteRack:
     for x, y in enumerate(as_permutation(rack)):
         row[sigma[x]] = sigma[y]
     return FiniteRack((tuple(row),) * rack.size)
-
-
-def indexed(chain: Chain, size: int) -> dict[int, int]:
-    """The chain keyed by lexicographic monomial index."""
-    keys = {}
-    for mono, coeff in chain.terms():
-        index = 0
-        for v in mono:
-            index = index * size + v
-        keys[index] = coeff
-    return keys
 
 
 # Orbits of size 1, 2, 3 and 4, relabeled.
@@ -289,24 +278,23 @@ class TestCertifiedLevels:
         for rack in ORACLE_RACKS:
             for level in certified_levels(rack, 5):
                 recipes = basis_recipes(rack, level.degree)
-                assert [r.describe() for r in level.recipes] == [r.describe() for r in recipes]
+                assert level.recipes == [r.describe() for r in recipes]
                 evaluated = [recipe.evaluate() for recipe in recipes]
                 assert cycle_basis(rack, level.degree) == evaluated
                 certificate = independence_certificate(rack, evaluated)
                 assert (level.rank, level.independent) == certificate == (len(recipes), True)
 
     def test_dependent_sets_are_reported(self):
-        for rack in (RACK_012_3, ORACLE_RACKS[-1]):
+        for rack, size in ((RACK_012_3, 16), (ORACLE_RACKS[-1], 81)):
             basis = cycle_basis(rack, 4)
-            for chains in (
-                basis + [basis[1] + basis[-1]],
-                basis + [3 * basis[2] - basis[0]],
-                [basis[0], basis[0]],
-                [basis[0], Chain.zero(4)],
+            assert len(basis) == size
+            for chains, certificate in (
+                (basis + [basis[1] + basis[-1]], (size, False)),
+                (basis + [3 * basis[2] - basis[0]], (size, False)),
+                ([basis[0], basis[0]], (1, False)),
+                ([basis[0], Chain.zero(4)], (1, False)),
             ):
-                certificate = indexed_certificate(rack, 4, [indexed(c, rack.size) for c in chains])
-                assert certificate == independence_certificate(rack, chains)
-                assert certificate[1] is False
+                assert independence_certificate(rack, chains) == certificate
 
     def test_terms_cancelling_under_detection(self):
         # 0 and 1 share an orbit, so (3,3,3,0) - (3,3,3,1) detects to 0, at
@@ -316,8 +304,36 @@ class TestCertifiedLevels:
             Chain.monomial((0, 0, 0, 0)),
             Chain(4, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1}),
         ]
-        certificate = indexed_certificate(RACK_012_3, 4, [indexed(c, 4) for c in chains])
-        assert certificate == independence_certificate(RACK_012_3, chains) == (1, False)
+        assert independence_certificate(RACK_012_3, chains) == (1, False)
+
+    @pytest.mark.parametrize(
+        "rack",
+        ORACLE_RACKS
+        + [relabeled_rack(rack, seed) for seed, rack in enumerate(permutation_racks(5))]
+        + permutation_racks(6),
+    )
+    def test_word_levels_match_the_chains_and_the_recipes(self, rack):
+        """The images built on orbit words are the detection images of the
+        basis chains, and the texts are the recipes' own."""
+        phi = as_permutation(rack)
+        decomposition = orbit_decomposition(phi)
+        detect = _DigitwiseMap(decomposition.orbit_of, len(decomposition.orbits))
+        levels = zip(
+            rackhom.cycles._word_levels(decomposition, 5),
+            rackhom.cycles._chain_levels(phi, decomposition, 5),
+        )
+        for n, ((texts, images), chains) in enumerate(levels):
+            high, low, divisor = detect.split(n)
+            detected = []
+            for chain in chains:
+                image: dict[int, int] = {}
+                for i, v in chain.items():
+                    key = high[i // divisor] + low[i % divisor]
+                    image[key] = image.get(key, 0) + v
+                detected.append({key: v for key, v in image.items() if v})
+            assert images == detected, n
+            assert texts == [recipe.describe() for recipe in basis_recipes(rack, n)], n
+        assert n == 5
 
     def test_chain_terms_follow_the_recursion(self):
         for rack in ORACLE_RACKS:
@@ -334,6 +350,7 @@ class TestCertifiedLevels:
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         swap = permutation_rack(PermutationSpec((2,)))
         fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
         with pytest.raises(DegreeTooLarge, match=r"^2\^4 exceeds the cap of 10$"):
@@ -368,6 +385,7 @@ class TestCertifiedLevels:
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         with pytest.raises(DegreeTooLarge, match=r"^342 cycle recipe factors exceed the cap of 341$"):
             certified_levels(fixed_3, 4, cap=341)
         # the one-element rack takes ⌈n/2⌉ factors in degree n in closed form

@@ -42,7 +42,7 @@ UNUSED_LAYERS = {
     "e2": CLOSED_FORM_ONLY,
     "betti": CLOSED_FORM_ONLY,
     "homology": {"rackhom.cycles", "rackhom.closed_forms"},
-    "cycles": {"rackhom.homology", "rackhom.closed_forms"},
+    "cycles": {"rackhom.chains", "rackhom.homology", "rackhom.closed_forms"},
     "verify": set(),
 }
 
