@@ -225,18 +225,12 @@ def _rank_of(mono: Monomial, size: int) -> int:
     return index
 
 
-def _as_chain(chain: IndexedChain, size: int, degree: int) -> Chain:
-    """The `Chain` of an indexed chain: each index read back as its digits."""
-    places = [size ** k for k in range(degree - 1, -1, -1)]
-    return Chain._clean(degree, {tuple(i // p % size for p in places): v for i, v in chain.items()})
-
-
 class _DigitwiseMap:
     """A map of the elements applied to every digit of an index.
 
-    ``images[x]`` is read as a digit in base ``out_base``.  An index of k
-    digits is looked up on its high ⌊k/2⌋ and low ⌈k/2⌉ digits, so no table
-    has more than |X|^⌈k/2⌉ entries.
+    ``images[x]`` is read as a digit in base ``out_base``.  ``table(k)``
+    holds the image of every index of k digits, |X|^k entries, and is built
+    from ``table(k - 1)`` and kept.
     """
 
     def __init__(self, images: Sequence[int], out_base: int):
@@ -251,14 +245,6 @@ class _DigitwiseMap:
             place, low = self.out_base ** (len(tables) - 1), tables[-1]
             tables.append([y * place + b for y in self.images for b in low])
         return tables[digits]
-
-    def split(self, digits: int) -> tuple[list[int], list[int], int]:
-        """(high, low, divisor): the map of a ``digits``-digit index i is
-        high[i // divisor] + low[i % divisor]."""
-        low_digits = (digits + 1) // 2
-        place = self.out_base ** low_digits
-        high = [v * place for v in self.table(digits - low_digits)]
-        return high, self.table(low_digits), len(self.images) ** low_digits
 
 
 def boundary_columns(
@@ -290,7 +276,8 @@ def boundary_columns(
         raise ValueError("boundary matrices start at degree 1")
     size = rack.size
     _check_degree(size, n, cap)
-    acts = [_DigitwiseMap(row, size) for row in rack.table]
+    maps: dict[tuple[int, ...], _DigitwiseMap] = {}  # one per distinct row
+    acts = [maps.setdefault(row, _DigitwiseMap(row, size)) for row in rack.table]
     faces = [  # face k = n - L, for k = 1 .. n - 1
         (size ** (L + 1), size ** L, [act.table(L) for act in acts], 1 if (n - L) % 2 else -1)
         for L in range(n - 1, 0, -1)

@@ -17,9 +17,9 @@ of orbit tuples, and go as columns straight to `linalg.column_rank`; each
 recipe's text is built the same way, one factor in front of a text from
 below.  No factor cancels, so the number of terms is known before any work
 and is held to the cap.
-The oracles for the pass build the chains themselves: `cycle_basis` on
-`chains.IndexedChain`s, and `CycleRecipe.evaluate` and
-`independence_certificate` on tuple-keyed `Chain`s.  The functions that
+The oracle for the pass builds the chains themselves:
+`CycleRecipe.evaluate`, which `cycle_basis` runs on every recipe, and
+`independence_certificate` on the `Chain`s it returns.  The functions that
 build chains import `chains` when called, so the pass loads none of it.
 """
 
@@ -190,7 +190,7 @@ def basis_recipes(
     two degrees down.  The count reproduces the Betti recursion with
     r_fin = r.
     """
-    phi = _check_cycle_work(rack, n, cap, chains=False, recipes=True)
+    phi = _check_cycle_work(rack, n, cap, chains=False)
     return _last(_recipe_levels(rack, orbit_decomposition(phi), n))
 
 
@@ -216,53 +216,6 @@ def _recipe_levels(
             for factor in [OrbitAverageFactor(t, d) for t, d in zip(reps, decomposition.sizes)]
             for sub in older
         )
-        older, old = old, level
-        yield level
-
-
-def _chain_levels(
-    phi: Sequence[int], decomposition: OrbitDecomposition, max_degree: int
-) -> Iterator[list[IndexedChain]]:
-    """The evaluated basis chains of degrees 0..max_degree, in the order of
-    `basis_recipes`, each level built from the two below it.
-
-    (q - q*)·c is q·c minus q*·c, two copies of c shifted by q and q* times
-    |X|^(n-1) whose keys are disjoint.  avg(t)(c) is the sum over i < d of
-    t·φ^i(t)·φ^i(c): the copies differ in their second digit, so their keys
-    are disjoint too, and φ^i(c) is φ applied digitwise to φ^(i-1)(c).
-    """
-    from .chains import _DigitwiseMap
-
-    size = len(phi)
-    reps = [orbit[0] for orbit in decomposition.orbits]
-    shift = _DigitwiseMap(phi, size)
-    older: list[IndexedChain] = []
-    old = [{0: 1}]
-    yield old
-    if max_degree >= 1:
-        older, old = old, [{q: 1} for q in reps]
-        yield old
-    for n in range(2, max_degree + 1):
-        first, second = size ** (n - 1), size ** (n - 2)
-        level = []
-        for q in reps[1:]:
-            plus, minus = q * first, reps[0] * first
-            for c in old:
-                chain = {i + plus: v for i, v in c.items()}
-                chain.update({i + minus: -v for i, v in c.items()})
-                level.append(chain)
-        high, low, divisor = shift.split(n - 2)
-        for t, d in zip(reps, decomposition.sizes):
-            for c in older:
-                head = t * (first + second)
-                chain = {i + head: v for i, v in c.items()}
-                x, moved = t, c
-                for _ in range(d - 1):
-                    x = phi[x]
-                    moved = {high[i // divisor] + low[i % divisor]: v for i, v in moved.items()}
-                    head = t * first + x * second
-                    chain.update({i + head: v for i, v in moved.items()})
-                level.append(chain)
         older, old = old, level
         yield level
 
@@ -299,15 +252,15 @@ def recipe_factor_counts(r: int, max_degree: int) -> list[int]:
 
 
 def _check_cycle_work(
-    rack: FiniteRack, max_degree: int, cap: int, chains: bool = True, recipes: bool = False
+    rack: FiniteRack, max_degree: int, cap: int, chains: bool = True
 ) -> tuple[int, ...]:
     """φ of the rack, once the basis of every degree 0..max_degree fits the
     cap; else raise DegreeTooLarge.  Checked in turn: |X|^n for each n,
     smallest first; with chains, the number of chain terms of the top
     degree, which also bounds the certified pass, since an image never has
-    more terms than its chain; with recipes, the number of recipe factors
-    of all the degrees, which the recipes' tuples and text grow with; last
-    the degree itself, which the work on the one-element rack grows with."""
+    more terms than its chain; the number of recipe factors of all the
+    degrees, which every builder's recipes or texts grow with; last the
+    degree itself, which the work on the one-element rack grows with."""
     phi = require_permutation(rack)
     if max_degree < 0:
         raise ValueError("negative degree")
@@ -322,21 +275,19 @@ def _check_cycle_work(
         factors = sum(recipe_factor_counts(r, max_degree))
     if chains:
         check_count(terms, cap, "{} cycle chain terms exceed")
-    if recipes:
-        check_count(factors, cap, "{} cycle recipe factors exceed")
+    check_count(factors, cap, "{} cycle recipe factors exceed")
     check_count(max_degree, cap, "degree {} exceeds")
     return phi
 
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
     """The evaluated lower-bound basis chains; all are cycles and their
-    number equals the closed-form Betti number.  Built level by level, each
-    level from the two below it (`_chain_levels`)."""
-    from .chains import _as_chain
-
+    number equals the closed-form Betti number.  Each is its recipe of
+    `basis_recipes` evaluated (`CycleRecipe.evaluate`), once its chain
+    terms and the recipes' factors fit the cap (`_check_cycle_work`)."""
     phi = _check_cycle_work(rack, n, cap)
-    chains = _last(_chain_levels(phi, orbit_decomposition(phi), n))
-    return [_as_chain(chain, rack.size, n) for chain in chains]
+    recipes = _last(_recipe_levels(rack, orbit_decomposition(phi), n))
+    return [recipe.evaluate() for recipe in recipes]
 
 
 class CertifiedLevel(Record):
@@ -366,7 +317,7 @@ def certified_levels(
     need updates.  The ranking updates its columns in place, and the
     levels above still read the images, so it is given copies.
     """
-    phi = _check_cycle_work(rack, max_degree, cap, recipes=True)
+    phi = _check_cycle_work(rack, max_degree, cap)
     levels = _word_levels(orbit_decomposition(phi), max_degree)
     return (
         CertifiedLevel(n, texts, column_rank(map(dict, reversed(images))))

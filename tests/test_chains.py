@@ -288,18 +288,16 @@ class TestBoundaryColumns:
 @given(data=st.data(), orbit_ids=st.booleans())
 def test_digitwise_map_reads_every_digit_through_the_images(data, orbit_ids):
     """table(k)[i] is the index, in base out_base, of i's k digits each
-    mapped through images; split(k) reads the same map off two tables.
-    out_base is |X| for a rack's rows and φ, and below it for orbit ids."""
+    mapped through images.  out_base is |X| for a rack's rows, and below it
+    for a map onto fewer digits, such as orbit ids."""
     size = data.draw(st.integers(2 if orbit_ids else 1, 4))
     out_base = data.draw(st.integers(1, size - 1)) if orbit_ids else size
     images = data.draw(st.lists(st.integers(0, out_base - 1), min_size=size, max_size=size))
     digits = data.draw(st.integers(0, 5))
     table = _DigitwiseMap(images, out_base).table(digits)
-    high, low, divisor = _DigitwiseMap(images, out_base).split(digits)
     assert len(table) == size ** digits
     for i, mono in enumerate(product(range(size), repeat=digits)):
         assert table[i] == _rank_of([images[v] for v in mono], out_base)
-        assert high[i // divisor] + low[i % divisor] == table[i]
 
 
 class TestDetectionMap:

@@ -148,7 +148,6 @@ class TestErrorMapping:
             raise AssertionError("work ran past the cap")
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
-        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         path = rack_file({"kind": "permutation", "cycles": [[0], [1], [2]]})
@@ -180,7 +179,6 @@ class TestErrorMapping:
             raise AssertionError("work ran past the cap")
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
-        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         for command, degree, cap, factors in (

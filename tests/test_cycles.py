@@ -1,13 +1,15 @@
 """Cycle constructions, the lower-bound basis, and its independence
 certificate."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 import rackhom.cycles
 from corpus import permutation_racks, random_chain, relabeled_rack
-from rackhom.chains import Chain, DegreeTooLarge, _DigitwiseMap, apply_boundary
+from rackhom.chains import Chain, DegreeTooLarge, _rank_of, apply_boundary, detection_map
 from rackhom.closed_forms import betti
 from rackhom.cycles import (
     CycleRecipe,
@@ -314,25 +316,17 @@ class TestCertifiedLevels:
     )
     def test_word_levels_match_the_chains_and_the_recipes(self, rack):
         """The images built on orbit words are the detection images of the
-        basis chains, and the texts are the recipes' own."""
-        phi = as_permutation(rack)
-        decomposition = orbit_decomposition(phi)
-        detect = _DigitwiseMap(decomposition.orbit_of, len(decomposition.orbits))
-        levels = zip(
-            rackhom.cycles._word_levels(decomposition, 5),
-            rackhom.cycles._chain_levels(phi, decomposition, 5),
-        )
-        for n, ((texts, images), chains) in enumerate(levels):
-            high, low, divisor = detect.split(n)
-            detected = []
-            for chain in chains:
-                image: dict[int, int] = {}
-                for i, v in chain.items():
-                    key = high[i // divisor] + low[i % divisor]
-                    image[key] = image.get(key, 0) + v
-                detected.append({key: v for key, v in image.items() if v})
+        evaluated basis recipes, and the texts are the recipes' own."""
+        decomposition = orbit_decomposition(as_permutation(rack))
+        orbit_of, r = decomposition.orbit_of, len(decomposition.orbits)
+        for n, (texts, images) in enumerate(rackhom.cycles._word_levels(decomposition, 5)):
+            recipes = basis_recipes(rack, n)
+            detected = [
+                {_rank_of(mono, r): v for mono, v in detection_map(recipe.evaluate(), orbit_of).terms()}
+                for recipe in recipes
+            ]
             assert images == detected, n
-            assert texts == [recipe.describe() for recipe in basis_recipes(rack, n)], n
+            assert texts == [recipe.describe() for recipe in recipes], n
         assert n == 5
 
     def test_chain_terms_follow_the_recursion(self):
@@ -349,7 +343,6 @@ class TestCertifiedLevels:
             raise AssertionError("work ran past the cap")
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
-        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         swap = permutation_rack(PermutationSpec((2,)))
         fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
@@ -378,16 +371,16 @@ class TestCertifiedLevels:
         one = permutation_rack(PermutationSpec((1,)))
         # degrees 0..4 of perm (1,1,1): 321 chain terms on top, 342 factors
         assert len(list(certified_levels(fixed_3, 4, cap=342))) == 5
-        assert len(cycle_basis(fixed_3, 4, cap=341)) == 81  # builds no recipe
+        assert len(cycle_basis(fixed_3, 4, cap=342)) == 81
 
         def no_work(*args, **kwargs):
             raise AssertionError("work ran past the cap")
 
         monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
-        monkeypatch.setattr(rackhom.cycles, "_chain_levels", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
-        with pytest.raises(DegreeTooLarge, match=r"^342 cycle recipe factors exceed the cap of 341$"):
-            certified_levels(fixed_3, 4, cap=341)
+        for entry in (certified_levels, cycle_basis):
+            with pytest.raises(DegreeTooLarge, match=r"^342 cycle recipe factors exceed the cap of 341$"):
+                entry(fixed_3, 4, cap=341)
         # the one-element rack takes ⌈n/2⌉ factors in degree n in closed form
         for degree in (2, 7, 30, 31):
             factors = sum(recipe_factor_counts(1, degree))
@@ -403,3 +396,17 @@ class TestCertifiedLevels:
         with pytest.raises(NotPermutation):
             certified_levels(dihedral_rack(3), 20, cap=1)
 
+
+def test_cycles_imports_nothing_private_from_chains():
+    # cycles builds its chains through the public `Chain`, so a private fast
+    # path over the digit index of `chains` cannot grow back unseen
+    text = Path(rackhom.cycles.__file__).read_text(encoding="utf-8")
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and node.module == "chains"
+        for alias in node.names
+    ]
+    assert "Chain" in names
+    assert [name for name in names if name.startswith("_")] == []
+    assert "chains._" not in text

@@ -110,17 +110,21 @@ class TestRackHomology:
             (boundary_matrix, degree),
             (boundary_columns, degree),
             (enumerate_basis, degree),
-            (cycle_basis, degree),
+            (cycle_basis, factors),
             (basis_recipes, factors),
         ):
             start = time.perf_counter()
             with pytest.raises(DegreeTooLarge, match=message):
                 entry(point, 10**9)
             assert time.perf_counter() - start < 1.0, entry
-        for entry in (enumerate_basis, boundary_columns, cycle_basis):
+        for entry in (enumerate_basis, boundary_columns):
             with pytest.raises(DegreeTooLarge, match=r"^degree 7 exceeds the cap of 6$"):
                 entry(point, 7, cap=6)
             entry(point, 7, cap=7)
+        # degrees 0..7 there take 16 recipe factors, which cycle_basis evaluates
+        with pytest.raises(DegreeTooLarge, match=r"^16 cycle recipe factors exceed the cap of 15$"):
+            cycle_basis(point, 7, cap=15)
+        assert cycle_basis(point, 7, cap=16) == [Chain.monomial((0,) * 7)]
         assert rack_homology(point, 6, cap=7) == HomologyGroup(1)
 
 
