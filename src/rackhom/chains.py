@@ -225,28 +225,6 @@ def _rank_of(mono: Monomial, size: int) -> int:
     return index
 
 
-class _DigitwiseMap:
-    """A map of the elements applied to every digit of an index.
-
-    ``images[x]`` is read as a digit in base ``out_base``.  ``table(k)``
-    holds the image of every index of k digits, |X|^k entries, and is built
-    from ``table(k - 1)`` and kept.
-    """
-
-    def __init__(self, images: Sequence[int], out_base: int):
-        self.images = images
-        self.out_base = out_base
-        self.tables: list[list[int]] = [[0]]  # tables[L]: the map on L digits
-
-    def table(self, digits: int) -> list[int]:
-        """The image of every index of ``digits`` digits, in index order."""
-        tables = self.tables
-        while len(tables) <= digits:
-            place, low = self.out_base ** (len(tables) - 1), tables[-1]
-            tables.append([y * place + b for y in self.images for b in low])
-        return tables[digits]
-
-
 def boundary_columns(
     rack: FiniteRack,
     n: int,
@@ -261,9 +239,12 @@ def boundary_columns(
     Indices are read as base-size digits, so no monomial is ever built.
     Column J = head·size^(L+1) + x_k·size^L + tail, with L = n - k, has the
     terms ±(head·size^L + tail) and ∓(head·size^L + x_k▷tail), where
-    x_k▷tail is looked up in the `_DigitwiseMap` of the row x_k▷(-) on L
-    digits.  The columns that start with x are the block of indices
-    x·size^(n-1) .. (x+1)·size^(n-1) - 1, so starts picks whole blocks.
+    x_k▷tail is looked up in the face table of the row x_k▷(-) on L
+    digits, which holds the image of every index of L digits with each
+    digit mapped through the row; each distinct row gets its tables on
+    0..n-1 digits, each built from the one below.  The columns that start
+    with x are the block of indices x·size^(n-1) .. (x+1)·size^(n-1) - 1,
+    so starts picks whole blocks.
 
     For a start set S (`racks.start_set`), the columns that start in S
     span the same lattice as all of d_n: d(t·u) = u - t▷u - t·d(u), so
@@ -276,10 +257,14 @@ def boundary_columns(
         raise ValueError("boundary matrices start at degree 1")
     size = rack.size
     _check_degree(size, n, cap)
-    maps: dict[tuple[int, ...], _DigitwiseMap] = {}  # one per distinct row
-    acts = [maps.setdefault(row, _DigitwiseMap(row, size)) for row in rack.table]
+    tables: dict[tuple[int, ...], list[list[int]]] = {}  # row: its face tables
+    for row in set(rack.table):
+        levels = tables[row] = [[0]]
+        for L in range(1, n):
+            place, low = size ** (L - 1), levels[-1]
+            levels.append([y * place + b for y in row for b in low])
     faces = [  # face k = n - L, for k = 1 .. n - 1
-        (size ** (L + 1), size ** L, [act.table(L) for act in acts], 1 if (n - L) % 2 else -1)
+        (size ** (L + 1), size ** L, [tables[row][L] for row in rack.table], 1 if (n - L) % 2 else -1)
         for L in range(n - 1, 0, -1)
     ]
     heads = range(size) if starts is None else sorted(starts)

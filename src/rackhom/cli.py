@@ -464,7 +464,9 @@ def emit_table(report: dict[str, Any]) -> str:
         if "recipes" in row:
             lines.append(f"B_{row['degree']}: " + ", ".join(row["recipes"]))
     if "poincare_series" in report:
-        lines.append("poincare_series: " + ", ".join(map(str, report["poincare_series"])))
+        series = report["poincare_series"]
+        digits = {value: str(value) for value in set(series)}  # one text per distinct int
+        lines.append("poincare_series: " + ", ".join(map(digits.__getitem__, series)))
     if "e2_page" in report:
         lines.append("e2_page (p, q, rank):")
         for cell in report["e2_page"]:

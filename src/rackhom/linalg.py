@@ -202,27 +202,6 @@ class _Eliminator:
                 elif j in udst:
                     del udst[j]
 
-    def col_addmul(self, dst: int, src: int, c: int) -> None:
-        # col_dst += c * col_src
-        for i in list(self.cols.get(src, ())):
-            row = self.rows[i]
-            w = row.get(dst, 0) + c * row[src]
-            if w:
-                if dst not in row:
-                    self.cols.setdefault(dst, set()).add(i)
-                row[dst] = w
-            elif dst in row:
-                del row[dst]
-                self._drop_support(i, dst)
-        if self.vcols is not None:
-            vdst = self.vcols[dst]
-            for i, v in self.vcols[src].items():
-                w = vdst.get(i, 0) + c * v
-                if w:
-                    vdst[i] = w
-                elif i in vdst:
-                    del vdst[i]
-
     def negate_row(self, i: int) -> None:
         row = self.rows.get(i)
         if row:
@@ -261,6 +240,16 @@ class _Eliminator:
                     best = (i, j)
         return best
 
+    def clear_column(self, pi: int, pj: int) -> None:
+        """row_i -= ⌊a_i/p⌋·row_pi for every other row i holding column pj,
+        where p is the pivot at (pi, pj) and a_i the entry of row i there."""
+        p = self.rows[pi][pj]
+        for i in sorted(self.cols[pj]):
+            if i != pi:
+                q = self.rows[i][pj] // p
+                if q:
+                    self.row_addmul(i, pi, -q)
+
     def isolate(self, pi: int, pj: int) -> tuple[int, int, int]:
         """Reduce until the pivot is alone in its row and column and divides
         every remaining entry.  Returns (row, col, divisor>0)."""
@@ -270,27 +259,35 @@ class _Eliminator:
             if p < 0:
                 self.negate_row(pi)
                 p = -p
-            # clear the pivot column with row operations
-            for i in sorted(cols[pj]):
-                if i == pi:
-                    continue
-                q = rows[i][pj] // p
-                if q:
-                    self.row_addmul(i, pi, -q)
+            self.clear_column(pi, pj)
             leftover_rows = [i for i in cols[pj] if i != pi]
             if leftover_rows:
                 # remainders in (0, p): the smallest becomes the new pivot
                 pi = min(leftover_rows, key=lambda i: (rows[i][pj], i))
                 continue
-            # clear the pivot row with column operations; the column is
-            # already clean, so these touch row pi only
-            for j in sorted(rows[pi]):
-                if j == pj:
+            # clear the pivot row with column operations: column pj holds p
+            # alone, so col_j -= q·col_pj, q = ⌊a_j/p⌋ for row pi's entry
+            # a_j, touches no other row and only turns a_j into a_j mod p;
+            # the right transform takes the same column operation
+            row = rows[pi]
+            for j in sorted(row):
+                q, r = divmod(row[j], p)
+                if j == pj or not q:
                     continue
-                q = rows[pi][j] // p
-                if q:
-                    self.col_addmul(j, pj, -q)
-            leftover_cols = [j for j in rows[pi] if j != pj]
+                if r:
+                    row[j] = r
+                else:
+                    del row[j]
+                    self._drop_support(pi, j)
+                if self.vcols is not None:
+                    vdst = self.vcols[j]
+                    for i, v in self.vcols[pj].items():
+                        w = vdst.get(i, 0) - q * v
+                        if w:
+                            vdst[i] = w
+                        elif i in vdst:
+                            del vdst[i]
+            leftover_cols = [j for j in row if j != pj]
             if leftover_cols:
                 pj = min(leftover_cols, key=lambda j: (rows[pi][j], j))
                 continue
@@ -362,10 +359,7 @@ class _Eliminator:
             )
             if pi is None:
                 continue
-            p = rows[pi][pj]
-            for i in sorted(support):
-                if i != pi:
-                    self.row_addmul(i, pi, -(rows[i][pj] // p))
+            self.clear_column(pi, pj)
             for j in rows.pop(pi):
                 self._drop_support(pi, j)
             swept.append(pj)

@@ -2,7 +2,6 @@
 and the start-set reduction."""
 
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +19,6 @@ from rackhom.chains import (
     detection_map,
     enumerate_basis,
     reduce_to_start_set,
-    _DigitwiseMap,
-    _rank_of,
 )
 from rackhom.racks import (
     NotPermutation,
@@ -254,7 +251,8 @@ class TestBoundaryColumns:
     def test_equals_boundary_of_monomial_with_and_without_dropped_rows(self):
         rng = random.Random(8)
         for rack in mixed_racks(4):
-            for n in range(1, 6):
+            # six digits on the racks of at most three elements: face tables of five
+            for n in range(1, 7 if rack.size <= 3 else 6):
                 oracle = columns_by_monomial(rack, n)
                 assert boundary_columns(rack, n) == oracle, (rack, n)
                 rows = rack.size ** (n - 1)
@@ -282,22 +280,6 @@ class TestBoundaryColumns:
         with pytest.raises(DegreeTooLarge):
             boundary_columns(RACK_012, 4, cap=80)
         assert boundary_columns(RACK_012, 1) == {}
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), orbit_ids=st.booleans())
-def test_digitwise_map_reads_every_digit_through_the_images(data, orbit_ids):
-    """table(k)[i] is the index, in base out_base, of i's k digits each
-    mapped through images.  out_base is |X| for a rack's rows, and below it
-    for a map onto fewer digits, such as orbit ids."""
-    size = data.draw(st.integers(2 if orbit_ids else 1, 4))
-    out_base = data.draw(st.integers(1, size - 1)) if orbit_ids else size
-    images = data.draw(st.lists(st.integers(0, out_base - 1), min_size=size, max_size=size))
-    digits = data.draw(st.integers(0, 5))
-    table = _DigitwiseMap(images, out_base).table(digits)
-    assert len(table) == size ** digits
-    for i, mono in enumerate(product(range(size), repeat=digits)):
-        assert table[i] == _rank_of([images[v] for v in mono], out_base)
 
 
 class TestDetectionMap:

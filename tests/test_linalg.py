@@ -289,6 +289,73 @@ class TestSmithReduce:
         assert columns == {}  # taken over
 
 
+class TestEliminatorSupport:
+    """The eliminator's row and column operations keep cols, its support
+    index, up to date by hand."""
+
+    @staticmethod
+    def check_index(elim):
+        """cols[j] is exactly the set of rows holding column j; no row is
+        empty or stores a 0."""
+        held = {}
+        for i, row in elim.rows.items():
+            assert row and 0 not in row.values(), (i, row)
+            for j in row:
+                held.setdefault(j, set()).add(i)
+        assert elim.cols == held
+
+    columns = staticmethod(TestSmithReduce.columns)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, -4, 6, 9, -10, 15)),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_index_after_every_call(self, rows):
+        # as smith_reduce drives it: content, sweep, and a step when a
+        # round is empty
+        elim = _Eliminator(self.columns(rows))
+        divisors = []
+        while elim.rows:
+            c = elim.content()
+            self.check_index(elim)
+            pivots = elim.sweep(c)
+            self.check_index(elim)
+            divisors += [c] * len(pivots)
+            if not pivots:
+                divisors.append(elim.step()[2])
+                self.check_index(elim)
+        assert tuple(divisors) == smith_reduce(self.columns(rows))[0]
+        # as the transform path drives it: steps alone, with a shape
+        elim = _Eliminator(self.columns(rows), (len(rows), len(rows[0])))
+        steps = []
+        while elim.rows:
+            steps.append(elim.step()[2])
+            self.check_index(elim)
+        assert steps == divisors
+
+    def test_several_remainder_passes_on_the_pivot_row(self):
+        # content 1 but no unit entry: the pivot row goes 6, 10, 15 (p = 6)
+        # -> 6, 4, 3 (p = 3) -> 0, 1, 3 (p = 1) -> 0, 1, 0
+        matrix = dense([[6, 10, 15]])
+        assert smith_normal_form(matrix).divisors == (1,)
+        assert smith_normal_form(matrix, with_transforms=True).divisors == (1,)
+        check_smith_contract(matrix)
+        elim = _Eliminator(self.columns([[6, 10, 15]]), (1, 3))
+        assert elim.step() == (0, 1, 1)
+        self.check_index(elim)
+        assert not elim.rows and not elim.cols
+
+
 class TestRationalRank:
     def test_zero(self):
         assert rational_rank(SparseIntMatrix(4, 2)) == 0
