@@ -155,16 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rackhom",
         description="Integral rack homology: brute force and closed forms.",
     )
-    parser.add_argument(
-        "command",
-        choices=["validate", "homology", "betti", "e2", "cycles", "verify"],
-    )
+    parser.add_argument("command", choices=list(_RUNNERS))
     parser.add_argument("--input", required=True, help="path to a rack description (JSON)")
     parser.add_argument("--max-degree", type=int, default=4, dest="max_degree")
     parser.add_argument("--terms", type=int, default=8)
     parser.add_argument(
         "--format",
-        choices=["table", "csv", "json"],
+        choices=list(_EMITTERS),
         default="table",
         dest="output_format",
     )
@@ -476,7 +473,7 @@ def emit_table(report: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_EMITTERS = {"json": emit_json, "csv": emit_csv, "table": emit_table}
+_EMITTERS = {"table": emit_table, "csv": emit_csv, "json": emit_json}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -498,3 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     sys.stdout.write(_EMITTERS[args.output_format](report))
     return 1 if report["status"] == "mismatch" else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

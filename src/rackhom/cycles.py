@@ -190,22 +190,19 @@ def basis_recipes(
     two degrees down.  The count reproduces the Betti recursion with
     r_fin = r.
     """
-    phi = _check_cycle_work(rack, n, cap, chains=False)
-    return _last(_recipe_levels(rack, orbit_decomposition(phi), n))
+    return _recipes(rack, _check_cycle_work(rack, n, cap, chains=False), n)
 
 
-def _recipe_levels(
-    rack: FiniteRack, decomposition: OrbitDecomposition, max_degree: int
-) -> Iterator[list[CycleRecipe]]:
-    """The recipes of degrees 0..max_degree, one list per degree."""
+def _recipes(
+    rack: FiniteRack, decomposition: OrbitDecomposition, n: int
+) -> list[CycleRecipe]:
+    """The recipes of degree n, each degree built from the two below it."""
     reps = [orbit[0] for orbit in decomposition.orbits]
     older: list[CycleRecipe] = []
     old = [CycleRecipe(rack)]
-    yield old
-    if max_degree >= 1:
+    if n >= 1:
         older, old = old, [CycleRecipe(rack, (TerminalFactor(q),)) for q in reps]
-        yield old
-    for _ in range(2, max_degree + 1):
+    for _ in range(2, n + 1):
         level = [
             CycleRecipe(rack, (factor,) + sub.factors)
             for factor in [DifferenceFactor(q, reps[0]) for q in reps[1:]]
@@ -217,7 +214,7 @@ def _recipe_levels(
             for sub in older
         )
         older, old = old, level
-        yield level
+    return old
 
 
 def chain_term_counts(size: int, r: int, max_degree: int) -> list[int]:
@@ -253,9 +250,9 @@ def recipe_factor_counts(r: int, max_degree: int) -> list[int]:
 
 def _check_cycle_work(
     rack: FiniteRack, max_degree: int, cap: int, chains: bool = True
-) -> tuple[int, ...]:
-    """φ of the rack, once the basis of every degree 0..max_degree fits the
-    cap; else raise DegreeTooLarge.  Checked in turn: |X|^n for each n,
+) -> OrbitDecomposition:
+    """The orbits of φ, once the basis of every degree 0..max_degree fits
+    the cap; else raise DegreeTooLarge.  Checked in turn: |X|^n for each n,
     smallest first; with chains, the number of chain terms of the top
     degree, which also bounds the certified pass, since an image never has
     more terms than its chain; the number of recipe factors of all the
@@ -266,27 +263,28 @@ def _check_cycle_work(
         raise ValueError("negative degree")
     size = rack.size
     check_basis(size, range(max_degree + 1), cap, "exceeds")
+    decomposition = orbit_decomposition(phi)
     if size == 1:
         # one chain term and ⌈n/2⌉ recipe factors in every degree n
         terms, factors = 1, (max_degree + 1) ** 2 // 4
     else:
-        r = len(orbit_decomposition(phi).orbits)
+        r = len(decomposition.orbits)
         terms = chain_term_counts(size, r, max_degree)[-1]
         factors = sum(recipe_factor_counts(r, max_degree))
     if chains:
         check_count(terms, cap, "{} cycle chain terms exceed")
     check_count(factors, cap, "{} cycle recipe factors exceed")
     check_count(max_degree, cap, "degree {} exceeds")
-    return phi
+    return decomposition
 
 
 def cycle_basis(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> list[Chain]:
     """The evaluated lower-bound basis chains; all are cycles and their
     number equals the closed-form Betti number.  Each is its recipe of
-    `basis_recipes` evaluated (`CycleRecipe.evaluate`), once its chain
-    terms and the recipes' factors fit the cap (`_check_cycle_work`)."""
-    phi = _check_cycle_work(rack, n, cap)
-    recipes = _last(_recipe_levels(rack, orbit_decomposition(phi), n))
+    `basis_recipes` evaluated (`CycleRecipe.evaluate`), built on the
+    orbits that the cap gate (`_check_cycle_work`) returns once their
+    chain terms and the recipes' factors fit the cap."""
+    recipes = _recipes(rack, _check_cycle_work(rack, n, cap), n)
     return [recipe.evaluate() for recipe in recipes]
 
 
@@ -312,13 +310,13 @@ def certified_levels(
 
     The cap is checked for every degree, and for the number of recipe
     factors (`_check_cycle_work`), when this is called, before any level
-    is built.  Each level's images are ranked avg block first: rank does
-    not depend on the column order, and in that order far fewer columns
-    need updates.  The ranking updates its columns in place, and the
-    levels above still read the images, so it is given copies.
+    is built; the orbits that check returns key the images.  Each level's
+    images are ranked avg block first: rank does not depend on the column
+    order, and in that order far fewer columns need updates.  The ranking
+    updates its columns in place, and the levels above still read the
+    images, so it is given copies.
     """
-    phi = _check_cycle_work(rack, max_degree, cap)
-    levels = _word_levels(orbit_decomposition(phi), max_degree)
+    levels = _word_levels(_check_cycle_work(rack, max_degree, cap), max_degree)
     return (
         CertifiedLevel(n, texts, column_rank(map(dict, reversed(images))))
         for n, (texts, images) in enumerate(levels)
@@ -407,8 +405,3 @@ def independence_certificate(
     rank = rational_rank(matrix)
     return rank, rank == len(chains)
 
-
-def _last(levels: Iterator[list]) -> list:
-    for level in levels:
-        pass
-    return level

@@ -178,8 +178,8 @@ class _Eliminator:
     def row_addmul(self, dst: int, src: int, c: int) -> None:
         # row_dst += c * row_src, c != 0
         rows, cols = self.rows, self.cols
-        rdst = rows.setdefault(dst, {})
-        for j, v in rows.get(src, {}).items():
+        rdst = rows[dst]
+        for j, v in rows[src].items():
             old = rdst.get(j)
             if old is None:
                 rdst[j] = c * v
@@ -203,10 +203,9 @@ class _Eliminator:
                     del udst[j]
 
     def negate_row(self, i: int) -> None:
-        row = self.rows.get(i)
-        if row:
-            for j in row:
-                row[j] = -row[j]
+        row = self.rows[i]
+        for j in row:
+            row[j] = -row[j]
         if self.urows is not None:
             urow = self.urows[i]
             for j in urow:
@@ -219,26 +218,22 @@ class _Eliminator:
             del self.cols[j]
 
     def find_pivot(self) -> tuple[int, int] | None:
-        """Minimal |value| first, then Markowitz fill (r-1)(c-1), then (i, j).
+        """The entry of least key (|value|, Markowitz fill (r-1)(c-1), i, j).
 
-        A unit entry with zero fill is a global optimum, so the scan
-        short-circuits on one.
+        A unit of zero fill, key (1, 0, i, j), beats every key that does
+        not start (1, 0), so the scan stops at the first one it meets; of
+        several, that one need not have the least (i, j).
         """
-        best = None
         best_key = None
         for i, row in self.rows.items():
             rfill = len(row) - 1
             for j, v in row.items():
-                av = -v if v < 0 else v
-                if av == 1 and rfill == 0:
-                    return (i, j)
-                key = (av, rfill * (len(self.cols[j]) - 1), i, j)
+                key = (abs(v), rfill * (len(self.cols[j]) - 1), i, j)
                 if best_key is None or key < best_key:
-                    if av == 1 and key[1] == 0:
-                        return (i, j)
+                    if key[:2] == (1, 0):
+                        return i, j
                     best_key = key
-                    best = (i, j)
-        return best
+        return None if best_key is None else best_key[2:]
 
     def clear_column(self, pi: int, pj: int) -> None:
         """row_i -= ⌊a_i/p⌋·row_pi for every other row i holding column pj,
@@ -299,27 +294,20 @@ class _Eliminator:
             return pi, pj, p
 
     def _find_nondivisible(self, pi: int, p: int) -> int | None:
-        cands = []
-        for i, row in self.rows.items():
-            if i == pi:
-                continue
-            for j, v in row.items():
-                if v % p:
-                    cands.append((i, j))
-                    break
-        if not cands:
-            return None
-        return min(cands)[0]
-
-    def retire(self, pi: int, pj: int) -> None:
-        del self.rows[pi]
-        del self.cols[pj]
+        """The least row other than pi holding an entry that p does not
+        divide, or None."""
+        return min(
+            (i for i, row in self.rows.items()
+             if i != pi and any(v % p for v in row.values())),
+            default=None,
+        )
 
     def step(self) -> tuple[int, int, int]:
-        """One pivot of the full elimination: find it, isolate it, retire
-        its row and column.  Returns (row, col, divisor)."""
+        """One pivot of the full elimination: find it, isolate it, drop its
+        row and column.  Returns (row, col, divisor)."""
         pi, pj, d = self.isolate(*self.find_pivot())
-        self.retire(pi, pj)
+        del self.rows[pi]
+        del self.cols[pj]
         return pi, pj, d
 
     def content(self) -> int:

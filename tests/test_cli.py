@@ -147,7 +147,7 @@ class TestErrorMapping:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran past the cap")
 
-        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_recipes", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         path = rack_file({"kind": "permutation", "cycles": [[0], [1], [2]]})
@@ -178,7 +178,7 @@ class TestErrorMapping:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran past the cap")
 
-        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_recipes", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         monkeypatch.setattr(rackhom.cli, "homology_table", no_work)
         for command, degree, cap, factors in (
@@ -534,6 +534,26 @@ def test_console_script_is_installed(capsys, rack_file, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "status: ok" in result.stdout
+
+
+def test_running_the_module_runs_the_command(capsys, rack_file, tmp_path):
+    """``python -m rackhom.cli`` prints and returns what ``main`` does with
+    the same arguments, a refusal of the options included."""
+    source_root = str(Path(rackhom.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    path = rack_file(TWO_ONE)
+    for degree, code in (("2", 0), ("-1", 2)):
+        argv = ["verify", "--input", path, "--max-degree", degree]
+        result = subprocess.run(
+            [sys.executable, "-m", "rackhom.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == run_cli(capsys, *argv)
+        assert result.returncode == code
 
 
 @pytest.mark.parametrize("command, name", [

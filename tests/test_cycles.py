@@ -342,7 +342,7 @@ class TestCertifiedLevels:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran past the cap")
 
-        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_recipes", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         swap = permutation_rack(PermutationSpec((2,)))
         fixed_3 = permutation_rack(PermutationSpec((1, 1, 1)))
@@ -376,7 +376,7 @@ class TestCertifiedLevels:
         def no_work(*args, **kwargs):
             raise AssertionError("work ran past the cap")
 
-        monkeypatch.setattr(rackhom.cycles, "_recipe_levels", no_work)
+        monkeypatch.setattr(rackhom.cycles, "_recipes", no_work)
         monkeypatch.setattr(rackhom.cycles, "_word_levels", no_work)
         for entry in (certified_levels, cycle_basis):
             with pytest.raises(DegreeTooLarge, match=r"^342 cycle recipe factors exceed the cap of 341$"):

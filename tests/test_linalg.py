@@ -356,6 +356,50 @@ class TestEliminatorSupport:
         assert not elim.rows and not elim.cols
 
 
+class TestFullStepChoices:
+    """The full step's pivot and its search for a row that the pivot does
+    not divide, on rows scanned in the order given."""
+
+    @staticmethod
+    def eliminator(rows):
+        elim = _Eliminator({})
+        elim.rows = {i: dict(row) for i, row in rows.items()}
+        for i, row in rows.items():
+            for j in row:
+                elim.cols.setdefault(j, set()).add(i)
+        return elim
+
+    def test_least_value_first(self):
+        elim = self.eliminator({0: {0: 3}, 1: {1: -2, 2: 5}})
+        assert elim.find_pivot() == (1, 1)
+
+    def test_then_least_markowitz_fill(self):
+        # (r-1)(c-1) is 1 on each entry of the 2×2 block, 0 on row 2
+        elim = self.eliminator({0: {0: 2, 1: 2}, 1: {0: 2, 1: 2}, 2: {2: -2}})
+        assert elim.find_pivot() == (2, 2)
+
+    def test_then_least_position(self):
+        assert self.eliminator({1: {0: 2}, 0: {1: 2}}).find_pivot() == (0, 1)
+        assert self.eliminator({0: {1: 2, 0: 2}}).find_pivot() == (0, 0)
+
+    def test_a_unit_of_zero_fill_ends_the_scan(self):
+        # the units of row 0 have fill 1, the one of row 2 none
+        rows = {0: {0: 1, 1: 1}, 1: {0: 2}, 2: {1: -1}}
+        assert self.eliminator(rows).find_pivot() == (2, 1)
+        # the first one scanned, not the least position
+        assert self.eliminator({1: {1: 1}, 0: {0: 1}}).find_pivot() == (1, 1)
+
+    def test_no_entry_no_pivot(self):
+        assert self.eliminator({}).find_pivot() is None
+
+    def test_the_least_row_with_an_entry_the_pivot_does_not_divide(self):
+        elim = self.eliminator({0: {0: 2}, 1: {1: 4}, 3: {2: 3}, 5: {3: 5}})
+        assert elim._find_nondivisible(0, 2) == 3
+        assert elim._find_nondivisible(0, 1) is None
+        # rows scanned out of order
+        assert self.eliminator({5: {0: 3}, 3: {1: 5}})._find_nondivisible(0, 2) == 3
+
+
 class TestRationalRank:
     def test_zero(self):
         assert rational_rank(SparseIntMatrix(4, 2)) == 0
