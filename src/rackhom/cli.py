@@ -175,7 +175,7 @@ def load_description(path: str) -> RackDescription:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, encoding, depth or digits
         raise ParseError(f"invalid JSON: {exc}") from exc
     return RackDescription.from_document(doc)
 
@@ -368,28 +368,33 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def emit_json(report: dict[str, Any]) -> str:
     """What `json.dumps(report, indent=2)` writes, for dicts with str keys,
-    lists, tuples and scalars, built in one loop over a stack of the open
-    containers instead of the stdlib's chain of generators.
+    lists, tuples and scalars.  A scalar or empty report goes to the stdlib
+    as it is; otherwise a nested `write` walks the report, calling itself on
+    each nonempty container inside the one it writes, instead of the
+    stdlib's chain of generators.
 
     Every separator, quoted key and int is a part of its own, made once and
-    shared by every place it is written, so a series of a million zeros
-    costs two pointers per item, not a string.  Each distinct int is
-    converted to decimal once: `betti` prints every Betti number in its row
-    and again in the series, and that conversion is most of the work.
+    shared by every place it is written, and the parts are joined once at
+    the end, so a series of a million zeros costs two pointers per item,
+    not a string.  Each distinct int is converted to decimal once: `betti`
+    prints every Betti number in its row and again in the series, and that
+    conversion is most of the work.  Like the stdlib, the walk recurses
+    once per level of nesting; reports are at most four levels deep.
     """
+    if not isinstance(report, (list, tuple, dict)) or not report:
+        return json.dumps(report, indent=2)
     quote = json.encoder.encode_basestring_ascii
     parts: list[str] = []
     append = parts.append
     digits: dict[int, str] = {}
     keys: dict[str, str] = {}  # each key, quoted, with its colon
-    # per open container: its items, whether keyed, the lead of its next
-    # item, the separator and the closing; the report is the one item of an
-    # outer list with no lead and no closing
-    frames: list[list[Any]] = [[iter((report,)), False, "", "", ""]]
-    while frames:
-        frame = frames[-1]
-        items, keyed, lead, separator, closing = frame
-        for value in items:
+
+    def write(container: Any, indent: str) -> None:
+        """One nonempty container whose first line starts at ``indent``."""
+        keyed = isinstance(container, dict)
+        inner = indent + "  "
+        lead, separator = "[{"[keyed] + inner, "," + inner  # shared by every item
+        for value in container.items() if keyed else container:
             append(lead)
             lead = separator
             if keyed:
@@ -410,23 +415,14 @@ def emit_json(report: dict[str, Any]) -> str:
                 append(_CONSTANTS[value])
             elif not isinstance(value, (list, tuple, dict)):
                 append(json.dumps(value))  # floats, subclasses; TypeError on the rest
-            elif not value:
-                append("{}" if isinstance(value, dict) else "[]")
+            elif value:
+                write(value, inner)
             else:
-                frame[2] = separator  # this container's lead once it resumes
-                inner = isinstance(value, dict)
-                indent = "\n" + "  " * (len(frames) - 1)
-                frames.append([
-                    iter(value.items() if inner else value),
-                    inner,
-                    "[{"[inner] + indent + "  ",
-                    "," + indent + "  ",
-                    indent + "]}"[inner],
-                ])
-                break
-        else:
-            frames.pop()
-            append(closing)
+                append("{}" if isinstance(value, dict) else "[]")
+        append(indent + "]}"[keyed])
+
+    write(report, "\n")
+    del write  # it refers to itself: without this, its parts wait for the cycle collector
     return "".join(parts)
 
 
@@ -478,13 +474,11 @@ _EMITTERS = {"table": emit_table, "csv": emit_csv, "json": emit_json}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_degree < 0:
-        print("ParseError: --max-degree must be nonnegative", file=sys.stderr)
-        return 2
-    if args.terms < 1 or args.basis_cap < 1:
-        print("ParseError: --terms and --basis-cap must be positive", file=sys.stderr)
-        return 2
     try:
+        if args.max_degree < 0:
+            raise ParseError("--max-degree must be nonnegative")
+        if args.terms < 1 or args.basis_cap < 1:
+            raise ParseError("--terms and --basis-cap must be positive")
         description = load_description(args.input)
         report = _RUNNERS[args.command](description, args)
     except Exception as exc:  # noqa: BLE001 - mapped to stable names below

@@ -1,5 +1,6 @@
 """Command line interface: parsing, dispatch, formats, errors, round-trips."""
 
+import gc
 import importlib
 import json
 import os
@@ -61,6 +62,30 @@ class TestParsing:
         code, _, err = run_cli(capsys, "validate", "--input", str(path))
         assert code == 2
         assert err.startswith("ParseError:")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[" * 100000 + b"]" * 100000,  # RecursionError in the decoder
+            b'{"kind": "permutation", "cycles": [[0]]}\xff',  # UnicodeDecodeError
+            pytest.param(
+                b'{"kind": "permutation", "cycles": [[0]], "free_orbits": '
+                + b"1" * 5000 + b"}",  # ValueError: past the int digit limit
+                marks=pytest.mark.skipif(
+                    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int digit limit before Python 3.10.7",
+                ),
+            ),
+        ],
+        ids=["deep", "not-utf-8", "too-many-digits"],
+    )
+    def test_malformed_file_is_a_parse_error(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError: invalid JSON: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "document",
@@ -485,8 +510,27 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @example([1, True, 1, False, 0, None, [], {}, [[]], {"": {}}])
 @example({"b": [10**400, -(10**400), 10**400], "a": "(1-0)·avg(2)·\"\x01"})
+@example(7)
+@example("x")
+@example(None)
+@example([])
+@example({})
+@example((1, [2]))
+@example(json.loads("[" * 50 + "]" * 50))  # 50 lists deep
 def test_emit_json_writes_what_json_dumps_writes(value):
     assert emit_json(value) == json.dumps(value, indent=2)
+
+
+def test_emit_json_leaves_nothing_for_the_cycle_collector():
+    """The parts of a large report are freed when the writer returns, not
+    at some later collection, so they are gone before stdout encodes."""
+    gc.collect()
+    gc.disable()
+    try:
+        emit_json({"series": [0, 1, [2, {"x": 3}]]})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_emit_json_writes_floats_and_refuses_what_json_cannot_hold():
