@@ -136,17 +136,14 @@ class CycleRecipe(Record):
 def difference_product(
     rack: FiniteRack, pairs: Sequence[tuple[int, int]], terminal: int
 ) -> Chain:
-    """The cycle (x_1-y_1)···(x_k-y_k)·terminal, expanded.
+    """The cycle (x_1-y_1)···(x_k-y_k)·terminal, expanded: the recipe of
+    those factors, evaluated.
 
     On a permutation rack every chain of this shape is a cycle.
     """
-    from .chains import Chain
-
     require_permutation(rack)
-    chain = Chain.monomial((terminal,))
-    for x, y in reversed(tuple(pairs)):
-        chain = chain.prepend(x) - chain.prepend(y)
-    return chain
+    factors = tuple(DifferenceFactor(x, y) for x, y in pairs) + (TerminalFactor(terminal),)
+    return CycleRecipe(rack, factors).evaluate()
 
 
 def fixed_point_square(rack: FiniteRack, t: int, c: Chain) -> Chain:

@@ -3,7 +3,8 @@
 HR_n is read off two Smith normal forms: the free rank is
 dim CR_n - rank(d_n) - rank(d_{n+1}) and the torsion consists of the
 elementary divisors of d_{n+1} that exceed 1.  No kernel basis is ever
-constructed.
+constructed.  One helper (`_group`) reads every group off, for the table
+and its oracle alike.
 
 `homology_table` reduces d_2 .. d_{N+1} from the bottom up, each built
 from the columns whose first entry lies in a start set (`racks.start_set`):
@@ -16,7 +17,9 @@ Kerber & Reininghaus, over Z; the lemma is in `linalg.smith_reduce`).
 `rack_homology` reduces its two boundaries whole, with no start set and no
 rows dropped, and is the oracle for the table.  The table also checks each
 free rank against o^n, where o is the number of orbits of X under the maps
-x▷(-) (Etingof & Graña); the oracle is left unchecked.
+x▷(-) (Etingof & Graña), as soon as d_{n+1} is reduced and HR_n made, so a
+wrong rank raises before any larger boundary is built; the oracle is left
+unchecked.
 """
 
 from __future__ import annotations
@@ -55,12 +58,18 @@ class HomologyGroup(Record):
                 raise ValueError("torsion must be a divisibility chain of ints > 1")
 
 
-def _boundary_smith(rack: FiniteRack, n: int, cap: int) -> tuple[int, tuple[int, ...]]:
-    """(rank, divisors) of d_n; d_0 and d_1 are zero by convention."""
-    if n <= 1:
-        return 0, ()
-    form = smith_normal_form(boundary_matrix(rack, n, cap))
-    return form.rank, form.divisors
+def _boundary_smith(rack: FiniteRack, n: int, cap: int) -> tuple[int, ...]:
+    """The elementary divisors of d_n, as many as its rank; d_0 and d_1
+    are zero by convention."""
+    return smith_normal_form(boundary_matrix(rack, n, cap)).divisors if n > 1 else ()
+
+
+def _group(size: int, n: int, rank_here: int, divisors: tuple[int, ...]) -> HomologyGroup:
+    """HR_n of a rack of this size, from the rank of d_n and the divisors
+    of d_{n+1}: free of rank size^n - rank d_n - rank d_{n+1}, plus a
+    cyclic group for each divisor above 1."""
+    torsion = tuple(d for d in divisors if d > 1)
+    return HomologyGroup(size ** n - rank_here - len(divisors), torsion)
 
 
 def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> HomologyGroup:
@@ -70,11 +79,8 @@ def rack_homology(rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP) -> Hom
         raise ValueError("negative degree")
     for degree in range(max(n, 2), n + 2):
         _check_degree(rack.size, degree, cap)
-    rank_here, _ = _boundary_smith(rack, n, cap)
-    rank_next, divisors = _boundary_smith(rack, n + 1, cap)
-    free_rank = rack.size ** n - rank_here - rank_next
-    torsion = tuple(d for d in divisors if d > 1)
-    return HomologyGroup(free_rank, torsion)
+    rank_here = len(_boundary_smith(rack, n, cap))
+    return _group(rack.size, n, rank_here, _boundary_smith(rack, n + 1, cap))
 
 
 def check_table_cap(size: int, max_degree: int, cap: int) -> None:
@@ -103,8 +109,10 @@ def homology_table(
     digits of all their bases, before any is built.  Each d_n is built
     from the columns that start in `racks.start_set` and without the rows
     named by the pivot columns that d_{n-1}'s reduction returns; both
-    leave the rank and divisors as they are.  Every free rank is then
-    checked against o^n, o the `racks.orbit_count` (Etingof & Graña).
+    leave the rank and divisors as they are.  HR_0 is Z; for n = 1 ..
+    max_degree, one pass reduces d_{n+1}, makes HR_n from it and the rank
+    of d_n, and checks its free rank against o^n, o the
+    `racks.orbit_count` (Etingof & Graña), before d_{n+2} is built.
     """
     if max_degree < 0:
         raise ValueError("negative degree")
@@ -112,19 +120,16 @@ def homology_table(
     check_table_cap(size, max_degree, cap)
     _check_table_work(size, max_degree, cap)
     starts = start_set(rack)
-    ranks, torsion = [0, 0], [(), ()]  # d_0 and d_1 are zero
-    pivots: set[int] = set()
-    for n in range(2, max_degree + 2):
-        divisors, pivots = smith_reduce(boundary_columns(rack, n, cap, starts, pivots))
-        ranks.append(len(divisors))
-        torsion.append(tuple(d for d in divisors if d > 1))
     orbits = orbit_count(rack)
-    groups = []
-    for n in range(max_degree + 1):
-        free_rank = size ** n - ranks[n] - ranks[n + 1]
-        if free_rank != orbits ** n:
-            raise AssertionError(f"free rank {free_rank} of HR_{n} is not o^{n} = {orbits ** n}")
-        groups.append(HomologyGroup(free_rank, torsion[n + 1]))
+    groups = [HomologyGroup(1)]  # d_0 and d_1 are zero
+    rank_here, pivots = 0, set()
+    for n in range(1, max_degree + 1):
+        divisors, pivots = smith_reduce(boundary_columns(rack, n + 1, cap, starts, pivots))
+        group = _group(size, n, rank_here, divisors)
+        if group.free_rank != orbits ** n:
+            raise AssertionError(f"free rank {group.free_rank} of HR_{n} is not o^{n} = {orbits ** n}")
+        groups.append(group)
+        rank_here = len(divisors)
     return groups
 
 

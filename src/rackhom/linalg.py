@@ -145,6 +145,17 @@ class SmithForm(Record):
     right: SparseIntMatrix | None
 
 
+def _addmul(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """dst += c·src, in place, on sparse vectors ({index: nonzero}): the
+    update of a left transform row or a right transform column."""
+    for i, v in src.items():
+        w = dst.get(i, 0) + c * v
+        if w:
+            dst[i] = w
+        elif i in dst:
+            del dst[i]
+
+
 class _Eliminator:
     """Shared mutable state for one Smith reduction.
 
@@ -194,13 +205,7 @@ class _Eliminator:
         if not rdst:
             del rows[dst]
         if self.urows is not None:
-            udst = self.urows[dst]
-            for j, v in self.urows[src].items():
-                w = udst.get(j, 0) + c * v
-                if w:
-                    udst[j] = w
-                elif j in udst:
-                    del udst[j]
+            _addmul(self.urows[dst], self.urows[src], c)
 
     def negate_row(self, i: int) -> None:
         row = self.rows[i]
@@ -275,13 +280,7 @@ class _Eliminator:
                     del row[j]
                     self._drop_support(pi, j)
                 if self.vcols is not None:
-                    vdst = self.vcols[j]
-                    for i, v in self.vcols[pj].items():
-                        w = vdst.get(i, 0) - q * v
-                        if w:
-                            vdst[i] = w
-                        elif i in vdst:
-                            del vdst[i]
+                    _addmul(self.vcols[j], self.vcols[pj], -q)
             leftover_cols = [j for j in row if j != pj]
             if leftover_cols:
                 pj = min(leftover_cols, key=lambda j: (rows[pi][j], j))
@@ -376,7 +375,8 @@ def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], s
     and the divisors come out as a divisibility chain in order.
 
     The set returned holds the pivot columns P of the first round when its
-    content is 1, and nothing otherwise.  Up to then only row operations
+    content is 1, and nothing otherwise; every round adds a divisor, so the
+    first is the one that starts with none.  Up to then only row operations
     have run, so U·d_n, with U unimodular, is triangular with ±1 on the
     diagonal on the pivot rows and the columns P: each pivot row has ±1 at
     its own column and 0 at every earlier pivot column.  Every v in ker d_n is
@@ -393,16 +393,16 @@ def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], s
     """
     elim = _Eliminator(columns)
     divisors: list[int] = []
-    unit_pivots: list[int] | None = None
+    unit_pivots: list[int] = []
     while elim.rows:
         c = elim.content()
         pivots = elim.sweep(c)
-        if unit_pivots is None:
-            unit_pivots = pivots if c == 1 else []
+        if not divisors and c == 1:
+            unit_pivots = pivots
         divisors += [c] * len(pivots)
         if not pivots:
             divisors.append(elim.step()[2])
-    return tuple(divisors), set(unit_pivots or ())
+    return tuple(divisors), set(unit_pivots)
 
 
 def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:

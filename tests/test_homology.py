@@ -147,6 +147,7 @@ class TestHomologyTable:
         # rank d_3 one short leaves HR_2 one too wide
         with pytest.raises(AssertionError, match=r"^free rank 2 of HR_2 is not o\^2 = 1$"):
             homology_table(dihedral_rack(3), 3)
+        assert next(degrees) == 4
 
     def test_trivial_is_powers_of_size(self):
         groups = homology_table(trivial_rack(3), 3)
