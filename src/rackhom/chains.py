@@ -3,7 +3,9 @@ matrices, the orbit detection map, and the constructive reduction that makes
 every chain start inside a prescribed generating set.
 
 Degree n monomials are tuples of n element ids; degree 0 is the empty tuple,
-so CR_0 has rank one and d_1 = 0.  That convention pins HR_0 = Z.
+so CR_0 has rank one and d_1 = 0.  That convention pins HR_0 = Z.  Every
+`Chain`, including each result of chain arithmetic, is checked when it is
+built: its monomials have its degree and its zero terms are dropped.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ class NotGenerating(ValueError):
 class Chain:
     """Sparse integer combination of monomials of one fixed degree.
 
-    Immutable by convention: all operations return new chains.  Zero
+    Immutable by convention: all operations return new chains, each made
+    by this constructor, which checks every monomial's degree.  Zero
     coefficients are never stored, so `bool(c)` means `c != 0`.
     """
 
@@ -53,15 +56,6 @@ class Chain:
                     clean[tuple(mono)] = coeff
         self.degree = degree
         self._coeffs = clean
-
-    @classmethod
-    def _clean(cls, degree: int, coeffs: dict[Monomial, int]) -> "Chain":
-        """A chain that takes over coeffs without checks: the caller
-        guarantees tuple monomials of this degree and no zero coefficient."""
-        chain = object.__new__(cls)
-        chain.degree = degree
-        chain._coeffs = coeffs
-        return chain
 
     @classmethod
     def zero(cls, degree: int) -> "Chain":
@@ -100,7 +94,7 @@ class Chain:
         return self._plus(other, 1)
 
     def __neg__(self) -> "Chain":
-        return Chain._clean(self.degree, {m: -c for m, c in self._coeffs.items()})
+        return Chain(self.degree, {m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self._plus(other, -1)
@@ -113,31 +107,27 @@ class Chain:
         coeffs = dict(self._coeffs)
         for mono, coeff in other._coeffs.items():
             _add_term(coeffs, mono, sign * coeff)
-        return Chain._clean(self.degree, coeffs)
+        return Chain(self.degree, coeffs)
 
     def __rmul__(self, scalar: int) -> "Chain":
         if not isinstance(scalar, int):
             return NotImplemented
-        if scalar == 0:
-            return Chain.zero(self.degree)
-        return Chain._clean(self.degree, {m: scalar * c for m, c in self._coeffs.items()})
+        return Chain(self.degree, {m: scalar * c for m, c in self._coeffs.items()})
 
     def prepend(self, x: int) -> "Chain":
         """The chain x·c, degree raised by one."""
-        return Chain._clean(
-            self.degree + 1,
-            {(x,) + mono: coeff for mono, coeff in self._coeffs.items()},
-        )
+        return Chain(self.degree + 1, {(x,) + m: c for m, c in self._coeffs.items()})
 
     def map_monomials(self, f: Callable[[Monomial], Monomial]) -> "Chain":
         """Apply f to every monomial, summing coefficients on collisions.
 
-        f must preserve degree.
+        f must preserve degree: a monomial of another degree raises
+        ValueError.
         """
         coeffs: dict[Monomial, int] = {}
         for mono, coeff in self._coeffs.items():
             _add_term(coeffs, tuple(f(mono)), coeff)
-        return Chain._clean(self.degree, coeffs)
+        return Chain(self.degree, coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -197,7 +187,7 @@ def boundary_of_monomial(rack: FiniteRack, w: Monomial) -> Chain:
         tail = w[k:]
         _add_term(coeffs, head + tail, sign)
         _add_term(coeffs, head + tuple(op(x, v) for v in tail), -sign)
-    return Chain._clean(n - 1, coeffs)
+    return Chain(n - 1, coeffs)
 
 
 def apply_boundary(rack: FiniteRack, c: Chain) -> Chain:
@@ -208,7 +198,7 @@ def apply_boundary(rack: FiniteRack, c: Chain) -> Chain:
     for mono, coeff in c._coeffs.items():
         for sub, sub_coeff in boundary_of_monomial(rack, mono)._coeffs.items():
             _add_term(coeffs, sub, coeff * sub_coeff)
-    return Chain._clean(c.degree - 1, coeffs)
+    return Chain(c.degree - 1, coeffs)
 
 
 IndexedChain = dict[int, int]

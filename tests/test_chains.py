@@ -79,13 +79,19 @@ class TestChainAlgebra:
         c = Chain(1, {(0,): 1, (1,): -1})
         assert not c.map_monomials(lambda m: (0,) * len(m))
 
+    def test_map_monomials_rejects_a_change_of_degree(self):
+        with pytest.raises(ValueError, match="degree"):
+            Chain.monomial((0, 1)).map_monomials(lambda m: m + (0,))
+        with pytest.raises(ValueError, match="degree"):
+            Chain(2, {(0, 1): 1, (1, 1): 1}).map_monomials(lambda m: m[:1])
+
     def test_mixed_degree_subtraction_rejected(self):
         with pytest.raises(ValueError):
             Chain(1, {(0,): 1}) - Chain(2, {(0, 0): 1})
 
     def test_operations_keep_the_invariants(self):
-        # Internal operations skip the public constructor's checks; their
-        # results must still pass them unchanged: tuple monomials of the
+        # Every operation builds its result with the public constructor;
+        # the results must pass its checks unchanged: tuple monomials of the
         # chain's degree and no stored zero.
         rng = random.Random(23)
         rack = RACK_012

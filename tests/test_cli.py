@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import rackhom
 import rackhom.cli
 import rackhom.cycles
+from rackhom.chains import Chain
 from rackhom.cli import RackDescription, emit_json, main
-from rackhom.closed_forms import betti_numbers
+from rackhom.closed_forms import IntPolynomial, betti_numbers
 from rackhom.racks import PermutationSpec
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -627,6 +628,34 @@ def test_runners_call_the_layer_functions_set_on_the_cli(
     code, _, err = run_cli(capsys, command, "--input", rack_file(TWO_ONE), "--max-degree", "2")
     assert (code, err) == (0, "")
     assert calls
+
+
+@pytest.mark.parametrize("output_format", ["table", "csv", "json"])
+def test_no_command_builds_a_chain_or_multiplies_polynomials(
+    capsys, rack_file, monkeypatch, output_format
+):
+    # Chain and IntPolynomial arithmetic are test oracles, each result made
+    # by its checked constructor: no command may route through them
+    counts = {"Chain": 0, "IntPolynomial.__mul__": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Chain, "__init__", counted("Chain", Chain.__init__))
+    monkeypatch.setattr(
+        IntPolynomial, "__mul__", counted("IntPolynomial.__mul__", IntPolynomial.__mul__)
+    )
+    for command in ("validate", "homology", "verify", "cycles", "e2", "betti"):
+        rack = DIHEDRAL_3 if command == "homology" else TWO_ONE
+        argv = ["--input", rack_file(rack), "--max-degree", "3", "--format", output_format]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, err) == (0, ""), command
+        assert out, command
+    assert counts == {"Chain": 0, "IntPolynomial.__mul__": 0}
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):

@@ -30,7 +30,6 @@ from rackhom.cycles import (
 )
 from rackhom.homology import is_cycle
 from rackhom.racks import (
-    FiniteRack,
     NotPermutation,
     PermutationSpec,
     as_permutation,
@@ -46,20 +45,10 @@ RACK_01_2 = permutation_rack(PermutationSpec((2, 1)))  # orbits {0,1}, {2}
 RACK_012_3 = permutation_rack(PermutationSpec((3, 1)))  # orbits {0,1,2}, {3}
 
 
-def relabeled(rack: FiniteRack, seed: int) -> FiniteRack:
-    """The isomorphic permutation rack with every x renamed σ(x), for a σ
-    drawn from the seed, so the cycles no longer run in id order."""
-    sigma = list(range(rack.size))
-    random.Random(seed).shuffle(sigma)
-    row = [0] * rack.size
-    for x, y in enumerate(as_permutation(rack)):
-        row[sigma[x]] = sigma[y]
-    return FiniteRack((tuple(row),) * rack.size)
-
-
-# Orbits of size 1, 2, 3 and 4, relabeled.
-ORACLE_RACKS = [relabeled(rack, seed) for seed, rack in enumerate(permutation_racks(4))]
-ORACLE_RACKS.append(relabeled(permutation_rack(PermutationSpec((3, 2, 1))), 99))
+# Orbits of size 1, 2, 3 and 4, relabeled so the cycles no longer run in id
+# order.
+ORACLE_RACKS = [relabeled_rack(rack, seed) for seed, rack in enumerate(permutation_racks(4))]
+ORACLE_RACKS.append(relabeled_rack(permutation_rack(PermutationSpec((3, 2, 1))), 99))
 
 
 class TestDifferenceProduct:
