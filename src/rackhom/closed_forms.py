@@ -29,7 +29,7 @@ class IntPolynomial(Record):
     order: int | None
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(map(int, self.coefficients))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
@@ -40,23 +40,6 @@ class IntPolynomial(Record):
             if len(coeffs) > self.order + 1:
                 raise ValueError("more coefficients than the order allows")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def _take(cls, coefficients: list[int], order: int | None) -> "IntPolynomial":
-        """Internal constructor without the public one's coercion and checks:
-        the caller hands over a list of ints that fits the order, whose
-        trailing zeros are dropped in place before the one tuple is made.
-
-        Its one caller is `rational_series`, which `betti` runs: at
-        `--terms 1000000` the series is done at 24 MB, where three full
-        copies in turn, as the checked constructor makes, took it to 40 MB.
-        All arithmetic goes through the checked constructor."""
-        while coefficients and not coefficients[-1]:
-            coefficients.pop()
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coefficients", tuple(coefficients))
-        object.__setattr__(poly, "order", order)
-        return poly
 
     def coefficient(self, k: int) -> int:
         """Coefficient of T^k; raises beyond the truncation order."""
@@ -140,7 +123,10 @@ def rational_series(
                 break
             c += factor * coeffs[n - k]
         coeffs[n] = c
-    return IntPolynomial._take(coeffs, terms - 1)
+    # dropped in place, so the constructor copies one list once
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return IntPolynomial(coeffs, terms - 1)
 
 
 class EquivariantRanks(Record):

@@ -276,6 +276,21 @@ class TestErrorMapping:
         assert (code, err) == (0, "")
         assert out.splitlines()[-2] == "poincare_series: 1, 1" + ", 0" * 99998
 
+    def test_a_large_permutation_rack_is_checked_in_quadratic_time(self, capsys, rack_file):
+        # its |X|³ = 216 million triples took 15-21 s before any cap was met
+        document = {"kind": "permutation", "cycles": [list(range(600))]}
+        path = rack_file(document)
+        start = time.perf_counter()
+        assert RackDescription.from_document(document).finite_rack().size == 600
+        assert time.perf_counter() - start < 2.0
+        for command, degree, code in (("verify", "2", 2), ("homology", "4", 2), ("cycles", "2", 0)):
+            start = time.perf_counter()
+            result = run_cli(capsys, command, "--input", path, "--max-degree", degree)
+            assert time.perf_counter() - start < 2.0, command
+            assert result[0] == code, result
+            if code:
+                assert result[2] == "DegreeTooLarge: 600^3 basis monomials exceed the cap of 1000000\n"
+
     def test_closed_form_work_at_the_cap_runs(self, capsys, rack_file):
         path = rack_file(FIB)
         # 3 E2 cells, 2 Betti degrees and 2 series terms: each exactly the cap

@@ -76,10 +76,12 @@ class TestIntPolynomial:
 
 
     def test_internal_results_are_normalized_like_the_constructor(self):
-        # arithmetic builds its results without the public constructor
         f = IntPolynomial((1, -1, 2), order=4)
         g = IntPolynomial((-1, 1, -2, 5))
-        for poly in (f + g, f * g, -f, f - f, g.truncate(2), f * IntPolynomial(())):
+        for poly in (
+            f + g, f * g, -f, f - f, g.truncate(2), f * IntPolynomial(()),
+            rational_series((1, 1), (1, -1, -1), 10), poincare_series(FIB_SPEC, 10),
+        ):
             assert poly == IntPolynomial(poly.coefficients, poly.order)
             assert all(type(c) is int for c in poly.coefficients)
         assert (f + g).coefficients == (0, 0, 0, 5)
@@ -87,6 +89,20 @@ class TestIntPolynomial:
 
 
 class TestRationalSeries:
+    def test_each_series_is_built_by_the_checked_constructor(self, monkeypatch):
+        calls = []
+        post_init = IntPolynomial.__post_init__
+
+        def counted(poly):
+            calls.append(poly)
+            post_init(poly)
+
+        monkeypatch.setattr(IntPolynomial, "__post_init__", counted)
+        rational_series((1,), (1, -2), 6)
+        assert len(calls) == 1
+        poincare_series(FIB_SPEC, 6)
+        assert len(calls) == 2
+
     def test_trailing_zeros_dropped_and_inputs_made_int(self):
         series = rational_series((1, 1), (1,), 100000)
         assert series.coefficients == (1, 1) and series.order == 99999
