@@ -152,7 +152,7 @@ class FiniteRack(Record):
         for x, row in enumerate(table):
             if len(row) != n or set(row) != universe:
                 raise NotBijective(x)
-        if all(row == table[0] for row in table):
+        if as_permutation(self) is not None:
             return  # a permutation rack: x▷(y▷z) = φ(φ(z)) = (x▷y)▷(x▷z)
         for x in range(n):
             for y in range(n):
