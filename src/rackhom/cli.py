@@ -1,9 +1,12 @@
 """Batch command line front end.
 
 Reads one JSON rack description, runs one command, writes one report to
-stdout.  Exit codes: 0 success, 1 verification mismatch, 2 any error.  The
-error names ParseError, ValidationError, InfiniteOrbits and DegreeTooLarge
-printed on stderr are stable interface, as are all field names below.
+stdout.  The description is a dict: the input document once checked
+against the schema, with "free_orbits" filled in on a permutation, and the
+report writes it unchanged as "rack".  Exit codes: 0 success, 1
+verification mismatch, 2 any error.  The error names ParseError,
+ValidationError, InfiniteOrbits and DegreeTooLarge printed on stderr are
+stable interface, as are all field names below.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .racks import (
     NotPermutation,
     NotSelfDistributive,
     PermutationSpec,
-    Record,
     as_permutation,
     check_count,
     orbit_decomposition,
@@ -74,76 +76,59 @@ def _is_int_list(value: Any) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
 
-class RackDescription(Record):
-    """Parsed input document: either an explicit table or a permutation
-    given by its cycles plus a count of free orbits."""
+def _check_document(doc: Any) -> dict[str, Any]:
+    """The rack description: either an explicit table or a permutation given
+    by its cycles plus a count of free orbits, 0 if left out, each key
+    checked and in the report's order."""
+    if not isinstance(doc, dict):
+        raise ParseError("input must be a JSON object")
+    kind = doc.get("kind")
+    if kind == "table":
+        if set(doc) != {"kind", "table"}:
+            raise ParseError('table kind takes exactly the fields "kind" and "table"')
+        table = doc["table"]
+        if not isinstance(table, list) or not table or not all(map(_is_int_list, table)):
+            raise ParseError('"table" must be a nonempty list of integer lists')
+        return {"kind": "table", "table": table}
+    if kind == "permutation":
+        if not set(doc) <= {"kind", "cycles", "free_orbits"} or "cycles" not in doc:
+            raise ParseError('permutation kind takes "cycles" and optionally "free_orbits"')
+        cycles = doc["cycles"]
+        if not isinstance(cycles, list) or not all(
+            _is_int_list(cycle) and cycle for cycle in cycles
+        ):
+            raise ParseError('"cycles" must be a list of nonempty integer lists')
+        free = doc.get("free_orbits", 0)
+        if not _is_int(free) or free < 0:
+            raise ParseError('"free_orbits" must be a nonnegative integer')
+        seen = [v for cycle in cycles for v in cycle]
+        if sorted(seen) != list(range(len(seen))):
+            raise ParseError("cycle entries must be exactly the ids 0..n-1")
+        if not cycles and free == 0:
+            raise ParseError("empty permutation: no cycles and no free orbits")
+        return {"kind": "permutation", "cycles": cycles, "free_orbits": free}
+    raise ParseError('"kind" must be "table" or "permutation"')
 
-    __slots__ = ("kind", "table", "cycles", "free_orbits")
-    _defaults = {"table": None, "cycles": None, "free_orbits": 0}
-    kind: str
-    table: list[list[int]] | None
-    cycles: list[list[int]] | None
-    free_orbits: int
 
-    @classmethod
-    def from_document(cls, doc: Any) -> "RackDescription":
-        if not isinstance(doc, dict):
-            raise ParseError("input must be a JSON object")
-        kind = doc.get("kind")
-        if kind == "table":
-            if set(doc) != {"kind", "table"}:
-                raise ParseError('table kind takes exactly the fields "kind" and "table"')
-            table = doc["table"]
-            if not isinstance(table, list) or not table or not all(map(_is_int_list, table)):
-                raise ParseError('"table" must be a nonempty list of integer lists')
-            return cls(kind="table", table=table)
-        if kind == "permutation":
-            if not set(doc) <= {"kind", "cycles", "free_orbits"} or "cycles" not in doc:
-                raise ParseError(
-                    'permutation kind takes "cycles" and optionally "free_orbits"'
-                )
-            cycles = doc["cycles"]
-            if not isinstance(cycles, list) or not all(
-                _is_int_list(cycle) and cycle for cycle in cycles
-            ):
-                raise ParseError('"cycles" must be a list of nonempty integer lists')
-            free = doc.get("free_orbits", 0)
-            if not _is_int(free) or free < 0:
-                raise ParseError('"free_orbits" must be a nonnegative integer')
-            seen = [v for cycle in cycles for v in cycle]
-            if sorted(seen) != list(range(len(seen))):
-                raise ParseError("cycle entries must be exactly the ids 0..n-1")
-            if not cycles and free == 0:
-                raise ParseError("empty permutation: no cycles and no free orbits")
-            return cls(kind="permutation", cycles=cycles, free_orbits=free)
-        raise ParseError('"kind" must be "table" or "permutation"')
+def finite_rack(description: dict[str, Any]) -> FiniteRack:
+    """Realize as a finite rack; brute-force commands come through here."""
+    if description["kind"] == "table":
+        return validate_rack(description["table"])
+    if description["free_orbits"] > 0:
+        raise InfiniteOrbits("free orbits admit no finite realization")
+    cycles = description["cycles"]
+    successor = {v: c[(i + 1) % len(c)] for c in cycles for i, v in enumerate(c)}
+    row = tuple(successor[v] for v in range(len(successor)))
+    return FiniteRack((row,) * len(row))
 
-    def canonical(self) -> dict[str, Any]:
-        if self.kind == "table":
-            return {"kind": "table", "table": self.table}
-        return {
-            "kind": "permutation",
-            "cycles": self.cycles,
-            "free_orbits": self.free_orbits,
-        }
 
-    def finite_rack(self) -> FiniteRack:
-        """Realize as a finite rack; brute-force commands come through here."""
-        if self.kind == "table":
-            return validate_rack(self.table)
-        if self.free_orbits > 0:
-            raise InfiniteOrbits("free orbits admit no finite realization")
-        successor = {v: c[(i + 1) % len(c)] for c in self.cycles for i, v in enumerate(c)}
-        row = tuple(successor[v] for v in range(len(successor)))
-        return FiniteRack((row,) * len(row))
-
-    def spec(self) -> PermutationSpec:
-        """Orbit data; closed-form commands come through here."""
-        if self.kind == "table":
-            return PermutationSpec.from_rack(validate_rack(self.table))
-        return PermutationSpec(
-            tuple(len(cycle) for cycle in self.cycles), self.free_orbits
-        )
+def permutation_spec(description: dict[str, Any]) -> PermutationSpec:
+    """Orbit data; closed-form commands come through here."""
+    if description["kind"] == "table":
+        return PermutationSpec.from_rack(validate_rack(description["table"]))
+    return PermutationSpec(
+        tuple(len(cycle) for cycle in description["cycles"]), description["free_orbits"]
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_description(path: str) -> RackDescription:
+def load_description(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -173,7 +158,7 @@ def load_description(path: str) -> RackDescription:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad syntax, encoding, depth or digits
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return RackDescription.from_document(doc)
+    return _check_document(doc)
 
 
 # Each stable error name with the exception types reported under it.
@@ -187,43 +172,39 @@ _ERROR_NAMES: tuple[tuple[Any, str], ...] = (
 )
 
 
-# Row keys in JSON order with their csv and table headers; None: JSON only.
-COLUMNS: tuple[tuple[str, str | None, str | None], ...] = (
-    ("degree", "degree", "degree"),
-    ("free_rank", "free_rank", "free_rank"),
-    ("torsion", "torsion", "torsion"),
-    ("closed_form", "closed_form_rank", "closed_form"),
-    ("e2_total", "e2_total", "e2_total"),
-    ("bn_size", "bn_size", "bn_size"),
-    ("certificate_rank", None, None),
-    ("independent", None, None),
-    ("recipes", None, None),
+# Row keys in JSON order.  The first six are the csv and table columns,
+# headed by their keys except where _CSV_HEADERS names one; the rest are
+# JSON only.
+COLUMNS = (
+    "degree", "free_rank", "torsion", "closed_form", "e2_total", "bn_size",
+    "certificate_rank", "independent", "recipes",
 )
-_TABULAR = [column for column in COLUMNS if column[1] is not None]
+_TABULAR = COLUMNS[:6]
+_CSV_HEADERS = {"closed_form": "closed_form_rank"}
 
 
-def _report(description: RackDescription, rows: list, **extra: Any) -> dict[str, Any]:
+def _report(description: dict[str, Any], rows: list, **extra: Any) -> dict[str, Any]:
     """The JSON document every format writes; ``extra`` is the command's own
     key: summary, poincare_series, or e2_page of cells {"p", "q", "rank"}."""
-    return {"rack": description.canonical(), "results": rows, "status": "ok", **extra}
+    return {"rack": description, "results": rows, "status": "ok", **extra}
 
 
-def run_validate(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
+def run_validate(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     summary: dict[str, Any]
-    if description.kind == "table":
-        rack = validate_rack(description.table)
+    if description["kind"] == "table":
+        rack = validate_rack(description["table"])
         phi = as_permutation(rack)
         summary = {"size": rack.size, "is_permutation": phi is not None}
         if phi is not None:
             orbits = orbit_decomposition(phi).orbits
             summary["orbits"] = [list(orbit) for orbit in orbits]
     else:
-        spec = description.spec()
+        cycles, spec = description["cycles"], permutation_spec(description)
         summary = {
-            "size": sum(len(cycle) for cycle in description.cycles),
+            "size": sum(map(len, cycles)),
             "is_permutation": True,
-            "orbits": [list(cycle) for cycle in description.cycles],
-            "free_orbits": description.free_orbits,
+            "orbits": cycles,
+            "free_orbits": description["free_orbits"],
             "r": spec.r,
             "r_fin": spec.r_fin,
         }
@@ -282,23 +263,24 @@ def _cycle_columns(levels: Iterator[CertifiedLevel]) -> list[dict[str, Any]]:
 
 def _rows(*producers: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Merge column producers, each one dict of columns per degree 0..max_degree,
-    into rows keyed in COLUMNS order.  Rank columns that no producer gives
-    are None, which JSON writes as null; other columns are left out."""
+    into rows keyed in COLUMNS order.  The columns free_rank .. e2_total
+    that no producer gives are None, which JSON writes as null; other
+    columns are left out."""
     rows = []
     for n, parts in enumerate(zip(*producers)):
-        row = dict(degree=n, free_rank=None, torsion=None, closed_form=None, e2_total=None)
+        row = {"degree": n, **dict.fromkeys(COLUMNS[1:5])}
         for part in parts:
             row.update(part)
-        rows.append({key: row[key] for key, _, _ in COLUMNS if key in row})
+        rows.append({key: row[key] for key in COLUMNS if key in row})
     return rows
 
 
-def run_homology(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    return _report(description, _rows(_homology_columns(description.finite_rack(), args)))
+def run_homology(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
+    return _report(description, _rows(_homology_columns(finite_rack(description), args)))
 
 
-def run_betti(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    spec = description.spec()
+def run_betti(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
+    spec = permutation_spec(description)
     _check_work(args.terms, "Poincare series terms", args.basis_cap, spec, args.terms - 1)
     rows = _rows(_betti_columns(spec, args))
     coeffs = _cli.poincare_series(spec, args.terms).coefficients
@@ -307,20 +289,20 @@ def run_betti(description: RackDescription, args: argparse.Namespace) -> dict[st
     return _report(description, rows, poincare_series=series)
 
 
-def run_e2(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    totals, page = _e2_columns(description.spec(), args)
+def run_e2(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
+    totals, page = _e2_columns(permutation_spec(description), args)
     return _report(description, _rows(totals), e2_page=page)
 
 
-def run_cycles(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
-    levels = _cli.certified_levels(description.finite_rack(), args.max_degree, args.basis_cap)
+def run_cycles(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
+    levels = _cli.certified_levels(finite_rack(description), args.max_degree, args.basis_cap)
     return _report(description, _rows(_cycle_columns(levels)))
 
 
-def run_verify(description: RackDescription, args: argparse.Namespace) -> dict[str, Any]:
+def run_verify(description: dict[str, Any], args: argparse.Namespace) -> dict[str, Any]:
     """Every column at once; ok when the five ranks agree, the certificate
     is independent and there is no torsion."""
-    rack = description.finite_rack()
+    rack = finite_rack(description)
     spec = PermutationSpec.from_rack(rack)  # so a table is validated once
     _cli.check_table_cap(rack.size, args.max_degree, args.basis_cap)
     levels = _cli.certified_levels(rack, args.max_degree, args.basis_cap)  # checks the cap
@@ -431,22 +413,21 @@ def emit_csv(report: dict[str, Any]) -> str:
         for key, value in report["summary"].items():
             writer.writerow([key, json.dumps(value) if isinstance(value, list) else value])
         return buffer.getvalue()
-    writer.writerow([header for _, header, _ in _TABULAR])
+    writer.writerow([_CSV_HEADERS.get(key, key) for key in _TABULAR])
     for row in report["results"]:
-        writer.writerow([_cell(key, row.get(key), "", "") for key, _, _ in _TABULAR])
+        writer.writerow([_cell(key, row.get(key), "", "") for key in _TABULAR])
     return buffer.getvalue()
 
 
 def emit_table(report: dict[str, Any]) -> str:
     lines = [f"{key}: {value}" for key, value in report.get("summary", {}).items()]
     if "summary" not in report:
-        header = [header for _, _, header in _TABULAR]
         table_rows = [
-            [_cell(key, row.get(key), "-", "none") for key, _, _ in _TABULAR]
+            [_cell(key, row.get(key), "-", "none") for key in _TABULAR]
             for row in report["results"]
         ]
-        widths = [max(map(len, column)) for column in zip(header, *table_rows)]
-        for cells in [header, *table_rows]:
+        widths = [max(map(len, column)) for column in zip(_TABULAR, *table_rows)]
+        for cells in [_TABULAR, *table_rows]:
             lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
     for row in report["results"]:
         if "recipes" in row:

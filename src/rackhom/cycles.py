@@ -190,26 +190,31 @@ def basis_recipes(
     return _recipes(rack, _check_cycle_work(rack, n, cap, chains=False), n)
 
 
+def _factors(
+    decomposition: OrbitDecomposition,
+) -> tuple[list[DifferenceFactor], list[OrbitAverageFactor]]:
+    """The factors the basis recipes put in front: (q - q*) for each
+    non-minimal orbit representative q, q* the minimal one, and avg(t),
+    with t's orbit size d_t, for every representative t."""
+    reps = [orbit[0] for orbit in decomposition.orbits]
+    return (
+        [DifferenceFactor(q, reps[0]) for q in reps[1:]],
+        [OrbitAverageFactor(t, d) for t, d in zip(reps, decomposition.sizes)],
+    )
+
+
 def _recipes(
     rack: FiniteRack, decomposition: OrbitDecomposition, n: int
 ) -> list[CycleRecipe]:
     """The recipes of degree n, each degree built from the two below it."""
-    reps = [orbit[0] for orbit in decomposition.orbits]
+    differences, averages = _factors(decomposition)
     older: list[CycleRecipe] = []
     old = [CycleRecipe(rack)]
     if n >= 1:
-        older, old = old, [CycleRecipe(rack, (TerminalFactor(q),)) for q in reps]
+        older, old = old, [CycleRecipe(rack, (TerminalFactor(a.t),)) for a in averages]
     for _ in range(2, n + 1):
-        level = [
-            CycleRecipe(rack, (factor,) + sub.factors)
-            for factor in [DifferenceFactor(q, reps[0]) for q in reps[1:]]
-            for sub in old
-        ]
-        level.extend(
-            CycleRecipe(rack, (factor,) + sub.factors)
-            for factor in [OrbitAverageFactor(t, d) for t, d in zip(reps, decomposition.sizes)]
-            for sub in older
-        )
+        level = [CycleRecipe(rack, (f,) + sub.factors) for f in differences for sub in old]
+        level += [CycleRecipe(rack, (f,) + sub.factors) for f in averages for sub in older]
         older, old = old, level
     return old
 
@@ -337,36 +342,38 @@ def _word_levels(
     holds a zero.
     """
     orbit_of = decomposition.orbit_of
-    reps = [orbit[0] for orbit in decomposition.orbits]
-    r = len(reps)
+    differences, averages = _factors(decomposition)
+    r = len(averages)
     older_texts: list[str] = []
     older: list[IndexedChain] = []
     texts, images = ["1"], [{0: 1}]
     yield texts, images
     if max_degree >= 1:
         older_texts, older = texts, images
-        texts, images = [f"({q})" for q in reps], [{orbit_of[q]: 1} for q in reps]
+        texts = [TerminalFactor(a.t).describe() for a in averages]
+        images = [{orbit_of[a.t]: 1} for a in averages]
         yield texts, images
     for n in range(2, max_degree + 1):
         first, second = r ** (n - 1), r ** (n - 2)
-        minus = orbit_of[reps[0]] * first
+        minus = orbit_of[averages[0].t] * first
         # the -q*·b half of (q - q*)·b is the same for every q
         negated = [{i + minus: -v for i, v in image.items()} for image in images]
         level_texts: list[str] = []
         level: list[IndexedChain] = []
-        for q in reps[1:]:
-            plus, factor = orbit_of[q] * first, f"({q}-{reps[0]})·"
-            level_texts += [factor + text for text in texts]
+        for factor in differences:
+            plus, prefix = orbit_of[factor.x] * first, factor.describe() + "·"
+            level_texts += [prefix + text for text in texts]
             for image, low in zip(images, negated):
                 word = {i + plus: v for i, v in image.items()}
                 word.update(low)
                 level.append(word)
-        for t, d in zip(reps, decomposition.sizes):
-            head = orbit_of[t] * (first + second)
+        for factor in averages:
+            head, d = orbit_of[factor.t] * (first + second), factor.d
+            prefix = factor.describe()
             if n == 2:  # over the empty product
-                level_texts.append(f"avg({t})")
+                level_texts.append(prefix)
             else:
-                level_texts += [f"avg({t})·" + text for text in older_texts]
+                level_texts += [prefix + "·" + text for text in older_texts]
             level += [{i + head: d * v for i, v in image.items()} for image in older]
         older_texts, older = texts, images
         texts, images = level_texts, level

@@ -7,6 +7,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 DEFAULT_BASIS_CAP = 10 ** 6
@@ -134,8 +135,9 @@ class FiniteRack(Record):
 
     Validation runs on construction: every row must be a bijection and
     the operation self-distributive, so a FiniteRack in hand is always a
-    rack.  Self-distributivity takes |X|³ steps, except on a permutation
-    rack (all rows equal), which always has it: the check is then |X|².
+    rack.  Self-distributivity compares |X|² pairs of composed rows, |X|³
+    entries, except on a permutation rack (all rows equal), which always
+    has it: the check is then |X|².
     Instances are immutable and hashable.
     """
 
@@ -154,12 +156,13 @@ class FiniteRack(Record):
                 raise NotBijective(x)
         if as_permutation(self) is not None:
             return  # a permutation rack: x▷(y▷z) = φ(φ(z)) = (x▷y)▷(x▷z)
-        for x in range(n):
-            for y in range(n):
-                xy = table[x][y]
-                for z in range(n):
-                    if table[x][table[y][z]] != table[xy][table[x][z]]:
-                        raise NotSelfDistributive(x, y, z)
+        # φ_x∘φ_y = φ_{x▷y}∘φ_x as rows, where φ_a∘φ_b is getters[b](table[a])
+        getters = [itemgetter(*row) for row in table]
+        for x, row in enumerate(table):
+            for y, xy in enumerate(row):
+                if getters[y](row) != getters[x](table[xy]):
+                    z = next(z for z in range(n) if row[table[y][z]] != table[xy][row[z]])
+                    raise NotSelfDistributive(x, y, z)
 
     @property
     def size(self) -> int:
@@ -280,32 +283,46 @@ def start_set(rack: FiniteRack) -> tuple[int, ...]:
 
     Chosen greedily: each step adds the element that leaves the fewest
     elements unreached, the smaller label on a tie, until none is.  The
-    orbits are tracked by union-find, at O(|X|) per candidate, so the whole
-    choice costs O(|X|²·|S|).  A permutation rack gets the smallest
-    element of each φ-orbit; a dihedral rack of three or more elements
-    gets two.
+    orbits are tracked by union-find.  Candidates with equal rows give the
+    same orbits, so each step joins each distinct row into the orbits once,
+    at O(|X|), and reads every candidate's count off that trial's orbit
+    sizes: with k distinct rows the choice costs O(|X|·(|X| + k·|S|)).  A
+    permutation rack gets the smallest element of each φ-orbit; a dihedral
+    rack of three or more elements gets two.
 
     >>> start_set(FiniteRack(((0, 2, 1), (2, 1, 0), (1, 0, 2))))
     (0, 1)
     """
-    size, table = rack.size, rack.table
+    size = rack.size
+    candidates: dict[tuple[int, ...], list[int]] = {}
+    for s, row in enumerate(rack.table):
+        candidates.setdefault(row, []).append(s)
     parent = list(range(size))
     chosen: list[int] = []
     unreached = size
     while unreached:
         best = None
-        for s in range(size):
-            if s in chosen:
-                continue
+        for row, labels in candidates.items():
             trial = parent.copy()
-            for x, y in enumerate(table[s]):
+            for x, y in enumerate(row):
                 _union(trial, x, y)
-            roots = {_find(trial, t) for t in chosen + [s]}
-            left = sum(1 for x in range(size) if _find(trial, x) not in roots)
-            if best is None or left < best[0]:
-                best = (left, s, trial)
+            roots = [_find(trial, x) for x in range(size)]
+            orbit_sizes = [0] * size
+            for root in roots:
+                orbit_sizes[root] += 1
+            reached = {roots[t] for t in chosen}
+            left = size - sum(orbit_sizes[root] for root in reached)
+            for s in labels:
+                # adding s reaches its orbit, unless a chosen element has already
+                count = left if roots[s] in reached else left - orbit_sizes[roots[s]]
+                if best is None or (count, s) < best[:2]:
+                    best = (count, s, trial)
         unreached, s, parent = best
         chosen.append(s)
+        labels = candidates[rack.table[s]]
+        labels.remove(s)
+        if not labels:
+            del candidates[rack.table[s]]
     return tuple(sorted(chosen))
 
 

@@ -18,7 +18,7 @@ import rackhom
 import rackhom.cli
 import rackhom.cycles
 from rackhom.chains import Chain
-from rackhom.cli import RackDescription, emit_json, main
+from rackhom.cli import emit_json, finite_rack, load_description, main
 from rackhom.closed_forms import IntPolynomial, betti_numbers
 from rackhom.racks import PermutationSpec
 
@@ -121,10 +121,10 @@ class TestParsing:
             assert code == 2
             assert err.startswith("ParseError:")
 
-    def test_description_free_orbits_default(self):
-        description = RackDescription.from_document(TWO_ONE)
-        assert description.free_orbits == 0
-        assert description.canonical()["free_orbits"] == 0
+    def test_description_free_orbits_default(self, rack_file):
+        description = load_description(rack_file(TWO_ONE))
+        assert description == {"kind": "permutation", "cycles": [[0, 1], [2]], "free_orbits": 0}
+        assert list(description) == ["kind", "cycles", "free_orbits"]
 
 
 class TestErrorMapping:
@@ -281,7 +281,7 @@ class TestErrorMapping:
         document = {"kind": "permutation", "cycles": [list(range(600))]}
         path = rack_file(document)
         start = time.perf_counter()
-        assert RackDescription.from_document(document).finite_rack().size == 600
+        assert finite_rack(load_description(path)).size == 600
         assert time.perf_counter() - start < 2.0
         for command, degree, code in (("verify", "2", 2), ("homology", "4", 2), ("cycles", "2", 0)):
             start = time.perf_counter()
@@ -290,6 +290,17 @@ class TestErrorMapping:
             assert result[0] == code, result
             if code:
                 assert result[2] == "DegreeTooLarge: 600^3 basis monomials exceed the cap of 1000000\n"
+
+    def test_many_orbits_get_their_start_set_in_quadratic_time(self, capsys, rack_file):
+        # 600 fixed points, each its own orbit: a start set built from one
+        # trial per candidate kept homology busy for over 30 s
+        path = rack_file({"kind": "permutation", "cycles": [[x] for x in range(600)]})
+        for command in ("homology", "verify"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, "--input", path, "--max-degree", "1")
+            assert time.perf_counter() - start < 5.0, command
+            assert (code, err) == (0, ""), command
+            assert out.splitlines()[2].split()[:2] == ["1", "600"], command
 
     def test_closed_form_work_at_the_cap_runs(self, capsys, rack_file):
         path = rack_file(FIB)

@@ -29,3 +29,18 @@ def test_unknown_row_is_refused_before_any_run():
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert "unknown rows ['perm (9) D9']" in result.stderr
+
+
+def test_a_row_reports_the_child_peak_not_the_parent_peak():
+    # the child starts as a copy of its parent, so wait4's ru_maxrss counts
+    # the 200 MB the parent touched before it ran the row
+    script = (
+        f"import sys; sys.path.insert(0, {str(SCRIPT.parent)!r})\n"
+        "import frontier\n"
+        "ballast = bytearray(200 * 2**20)\n"
+        "del ballast\n"
+        "print(frontier.run_row('perm (5)', 5)['peak_rss_mb'])\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert 0 < float(result.stdout) < 100

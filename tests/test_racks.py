@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import rackhom.racks
 from corpus import permutation_racks
-from rackhom.cli import RackDescription
 from rackhom.closed_forms import EquivariantRanks, IntPolynomial
 from rackhom.cycles import (
     CertifiedLevel,
@@ -62,6 +61,33 @@ class TestValidateRack:
         with pytest.raises(NotSelfDistributive) as exc:
             validate_rack([[0, 1], [1, 0]])
         assert exc.value.witness == (1, 0, 0)
+
+    def test_witness_is_the_least_failing_triple(self):
+        # the rows are compared whole; the witness must still be the first
+        # failure of the triple loop over x, y, z
+        rng = random.Random(2026)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            table = [rng.sample(range(n), n) for _ in range(n)]
+            expected = next(
+                (
+                    (x, y, z)
+                    for x in range(n)
+                    for y in range(n)
+                    for z in range(n)
+                    if table[x][table[y][z]] != table[table[x][y]][table[x][z]]
+                ),
+                None,
+            )
+            try:
+                validate_rack(table)
+                witness = None
+            except NotSelfDistributive as exc:
+                witness = exc.witness
+            assert witness == expected, table
+            outcomes.add(witness is None)
+        assert outcomes == {True, False}
 
     def test_non_bijective_row(self):
         with pytest.raises(NotBijective) as exc:
@@ -290,7 +316,7 @@ class TestRackInvariants:
 SWAP = FiniteRack(((1, 0), (1, 0)))
 
 # One value of every record type, by its fields in order.  Each record type
-# was a dataclass, frozen except RackDescription.
+# was a frozen dataclass.
 RECORDS = [
     (FiniteRack, {"table": ((1, 0), (1, 0))}),
     (PermutationSpec, {"finite_orbit_sizes": (2, 1), "free_orbit_count": 1}),
@@ -305,11 +331,10 @@ RECORDS = [
     (TerminalFactor, {"x": 1}),
     (CycleRecipe, {"rack": SWAP, "factors": (DifferenceFactor(1, 0), TerminalFactor(0))}),
     (CertifiedLevel, {"degree": 1, "recipes": [CycleRecipe(SWAP, (TerminalFactor(0),))], "rank": 1}),
-    (RackDescription, {"kind": "permutation", "table": None, "cycles": [[0, 1]], "free_orbits": 1}),
 ]
 RECORD_IDS = [cls.__name__ for cls, _ in RECORDS]
 # The records holding a list or a dict, which hash as the dataclass did: not at all.
-UNHASHABLE = {SparseIntMatrix, CertifiedLevel, RackDescription}
+UNHASHABLE = {SparseIntMatrix, CertifiedLevel}
 
 
 @pytest.mark.parametrize("cls, fields", RECORDS, ids=RECORD_IDS)
@@ -373,7 +398,6 @@ def test_record_defaults():
     assert SmithForm(0, ()) == SmithForm(0, (), None, None)
     assert IntPolynomial((1,)).order is None
     assert CycleRecipe(SWAP).factors == ()
-    assert RackDescription("table") == RackDescription("table", None, None, 0)
     assert SparseIntMatrix(2, 2) == SparseIntMatrix(2, 2, {})
     # a new dict for each matrix, as a dataclass default_factory gave
     assert SparseIntMatrix(2, 2).entries is not SparseIntMatrix(2, 2).entries

@@ -7,8 +7,9 @@ A label is a row's rack and degree, as in "perm (5) D5" or "dihedral 3 D9".
 Prints one JSON object per row, as each row ends: the rack, the degree,
 `wall_s` (the `homology_table` call), `top_reduce_s` (its last
 `smith_reduce` call, the one on d_{D+1}) and `peak_rss_mb` (the child's
-peak resident set, from `os.wait4`).  The rows take from 0.04 s to about
-30 s each, and up to about 500 MB.
+own peak resident set, its VmHWM; where /proc has none, `os.wait4`'s
+ru_maxrss, which also counts the parent's peak at the spawn).  The rows
+take from 0.04 s to about 30 s each, and up to about 500 MB.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ ROWS = (
 LABELS = {f"{rack} D{degree}": (rack, degree) for rack, degree in ROWS}
 
 
-def measure(rack_name: str, degree: int) -> dict[str, float]:
+def measure(rack_name: str, degree: int) -> dict[str, float | None]:
     """In this process: time one `homology_table` call and its last
-    `smith_reduce`, which the module calls by its own global name."""
+    `smith_reduce`, which the module calls by its own global name, then
+    read the process's peak."""
     sys.path.insert(0, str(SRC))
     from rackhom import homology, racks
 
@@ -64,11 +66,24 @@ def measure(rack_name: str, degree: int) -> dict[str, float]:
     start = time.perf_counter()
     homology.homology_table(rack, degree, cap=10**9)
     wall = time.perf_counter() - start
-    return {"wall_s": wall, "top_reduce_s": reduce_seconds[-1]}
+    return {"wall_s": wall, "top_reduce_s": reduce_seconds[-1], "peak_kib": _own_peak_kib()}
+
+
+def _own_peak_kib() -> int | None:
+    """This process's peak resident set in KiB (VmHWM), or None where
+    /proc/self/status does not give it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
 
 
 def run_row(rack_name: str, degree: int) -> dict[str, object]:
-    """One row in a fresh child process; its peak RSS comes from wait4."""
+    """One row in a fresh child process, with the child's own peak RSS."""
     child = subprocess.Popen(
         [sys.executable, __file__, "--child", rack_name, str(degree)],
         stdout=subprocess.PIPE,
@@ -85,7 +100,7 @@ def run_row(rack_name: str, degree: int) -> dict[str, object]:
         "degree": degree,
         "wall_s": round(times["wall_s"], 6),
         "top_reduce_s": round(times["top_reduce_s"], 6),
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB
+        "peak_rss_mb": round((times["peak_kib"] or usage.ru_maxrss) / 1024, 1),  # both in KiB
     }
 
 
