@@ -15,17 +15,18 @@ columns left nonzero.  An update touches only the two columns involved, so
 the work follows the sizes of the columns that need updates, not the square
 of the row count.
 
-Without transforms, `smith_normal_form` goes through `smith_reduce`,
-which reduces a matrix given by its columns in rounds.  Each round takes
-the content c of what is left (the gcd of its entries) and sweeps the ±c
-pivots column by column, dropping each pivot row whole (the elementary
-reductions of Kaczynski, Mrozek & Ślusarek, as used for simplicial
-homology by Dumas, Heckenbach, Saunders & Welker, extended from ±1 to
-±c).  Only a round that finds no ±c entry falls back to one step of the
-full eliminator.  Boundary matrices of racks are almost all ±1, and on
-nearly every rack boundary measured, one more round at the content of what
-the ±1 round leaves finishes the reduction without that step.  With
-transforms, the full eliminator runs alone; it is the oracle for the sweep.
+`smith_normal_form` goes through `smith_reduce`, which reduces a matrix
+given by its columns in rounds.  Each round takes the content c of what is
+left (the gcd of its entries) and sweeps the ±c pivots column by column,
+dropping each pivot row whole (the elementary reductions of Kaczynski,
+Mrozek & Ślusarek, as used for simplicial homology by Dumas, Heckenbach,
+Saunders & Welker, extended from ±1 to ±c).  Only a round that finds no
+±c entry falls back to one step of the full eliminator.  Boundary matrices
+of racks are almost all ±1, and on nearly every rack boundary measured,
+one more round at the content of what the ±1 round leaves finishes the
+reduction without that step.  The eliminator keeps only the divisors, not
+the transforms; the tests check it against a Smith elimination with
+transforms of their own, which shares none of its code.
 
 `smith_reduce` also returns the columns of the ±1 pivots its first round
 takes when that round's content is 1.  Reducing d_n (or any columns of
@@ -67,109 +68,37 @@ class SparseIntMatrix(Record):
             if v == 0:
                 raise ValueError(f"stored zero at ({i},{j})")
 
-    @classmethod
-    def from_dense(cls, rows: list[list[int]]) -> "SparseIntMatrix":
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = v
-        return cls(m, n, entries)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseIntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def to_dense(self) -> list[list[int]]:
-        dense = [[0] * self.col_count for _ in range(self.row_count)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(
-            self.col_count, self.row_count,
-            {(j, i): v for (i, j), v in self.entries.items()},
-        )
-
-
-def diagonal(row_count: int, col_count: int, values: list[int]) -> SparseIntMatrix:
-    """diag(values) padded with zeros to the requested shape."""
-    if len(values) > min(row_count, col_count):
-        raise ValueError("too many diagonal values")
-    return SparseIntMatrix(
-        row_count, col_count,
-        {(k, k): v for k, v in enumerate(values) if v},
-    )
-
-
-def matmul(a: SparseIntMatrix, b: SparseIntMatrix) -> SparseIntMatrix:
-    if a.col_count != b.row_count:
-        raise ValueError("shape mismatch")
-    b_rows: dict[int, list[tuple[int, int]]] = {}
-    for (k, j), v in b.entries.items():
-        b_rows.setdefault(k, []).append((j, v))
-    out: dict[tuple[int, int], int] = {}
-    for (i, k), u in a.entries.items():
-        for j, v in b_rows.get(k, ()):
-            key = (i, j)
-            w = out.get(key, 0) + u * v
-            if w:
-                out[key] = w
-            elif key in out:
-                del out[key]
-    return SparseIntMatrix(a.row_count, b.col_count, out)
 
 
 class SmithForm(Record):
     """Elementary divisors of an integer matrix.
 
     ``divisors`` is the full chain d1 | d2 | ... | d_rank (all positive,
-    including any leading 1s).  When transforms were requested, ``left`` and
-    ``right`` are unimodular and satisfy left @ A @ right = diag(divisors).
+    including any leading 1s), and ``rank`` is their number.
     """
 
-    __slots__ = ("rank", "divisors", "left", "right")
-    _defaults = {"left": None, "right": None}
-    rank: int
+    __slots__ = ("divisors",)
     divisors: tuple[int, ...]
-    left: SparseIntMatrix | None
-    right: SparseIntMatrix | None
 
-
-def _addmul(dst: dict[int, int], src: dict[int, int], c: int) -> None:
-    """dst += c·src, in place, on sparse vectors ({index: nonzero}): the
-    update of a left transform row or a right transform column."""
-    for i, v in src.items():
-        w = dst.get(i, 0) + c * v
-        if w:
-            dst[i] = w
-        elif i in dst:
-            del dst[i]
+    @property
+    def rank(self) -> int:
+        return len(self.divisors)
 
 
 class _Eliminator:
     """Shared mutable state for one Smith reduction.
 
     Rows are dicts col->value, plus a column support index.  Pivots are never
-    moved physically; positions are tracked and permuted into place at the
-    end when transforms are requested.
+    moved physically; each retires with its row and column, and only the
+    divisors are kept: no transform is tracked.
     """
 
-    def __init__(
-        self, columns: dict[int, dict[int, int]], shape: tuple[int, int] | None = None
-    ):
+    def __init__(self, columns: dict[int, dict[int, int]]):
         """Takes over columns ({col: {row: nonzero}}), emptying it as the
-        rows are built.  With shape (row count, column count), the left and
-        right transforms are tracked too."""
+        rows are built."""
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         rows = self.rows
@@ -182,11 +111,8 @@ class _Eliminator:
                     rows[i] = {j: v}
                 else:
                     row[j] = v
-        # left transform rows / right transform columns, both start as I
-        self.urows = {i: {i: 1} for i in range(shape[0])} if shape else None
-        self.vcols = {j: {j: 1} for j in range(shape[1])} if shape else None
 
-    def row_addmul(self, dst: int, src: int, c: int) -> None:
+    def add_row(self, dst: int, src: int, c: int) -> None:
         # row_dst += c * row_src, c != 0
         rows, cols = self.rows, self.cols
         rdst = rows[dst]
@@ -204,17 +130,11 @@ class _Eliminator:
                 self._drop_support(dst, j)
         if not rdst:
             del rows[dst]
-        if self.urows is not None:
-            _addmul(self.urows[dst], self.urows[src], c)
 
     def negate_row(self, i: int) -> None:
         row = self.rows[i]
         for j in row:
             row[j] = -row[j]
-        if self.urows is not None:
-            urow = self.urows[i]
-            for j in urow:
-                urow[j] = -urow[j]
 
     def _drop_support(self, i: int, j: int) -> None:
         s = self.cols[j]
@@ -248,7 +168,7 @@ class _Eliminator:
             if i != pi:
                 q = self.rows[i][pj] // p
                 if q:
-                    self.row_addmul(i, pi, -q)
+                    self.add_row(i, pi, -q)
 
     def isolate(self, pi: int, pj: int) -> tuple[int, int, int]:
         """Reduce until the pivot is alone in its row and column and divides
@@ -267,8 +187,7 @@ class _Eliminator:
                 continue
             # clear the pivot row with column operations: column pj holds p
             # alone, so col_j -= q·col_pj, q = ⌊a_j/p⌋ for row pi's entry
-            # a_j, touches no other row and only turns a_j into a_j mod p;
-            # the right transform takes the same column operation
+            # a_j, touches no other row and only turns a_j into a_j mod p
             row = rows[pi]
             for j in sorted(row):
                 q, r = divmod(row[j], p)
@@ -279,8 +198,6 @@ class _Eliminator:
                 else:
                     del row[j]
                     self._drop_support(pi, j)
-                if self.vcols is not None:
-                    _addmul(self.vcols[j], self.vcols[pj], -q)
             leftover_cols = [j for j in row if j != pj]
             if leftover_cols:
                 pj = min(leftover_cols, key=lambda j: (rows[pi][j], j))
@@ -288,7 +205,7 @@ class _Eliminator:
             if p > 1:
                 bad = self._find_nondivisible(pi, p)
                 if bad is not None:
-                    self.row_addmul(pi, bad, 1)
+                    self.add_row(pi, bad, 1)
                     continue
             return pi, pj, p
 
@@ -405,45 +322,18 @@ def smith_reduce(columns: dict[int, dict[int, int]]) -> tuple[tuple[int, ...], s
     return tuple(divisors), set(unit_pivots)
 
 
-def smith_normal_form(matrix: SparseIntMatrix, with_transforms: bool = False) -> SmithForm:
-    """Smith normal form over Z.
+def smith_normal_form(matrix: SparseIntMatrix) -> SmithForm:
+    """Smith normal form over Z: the elementary divisors of the matrix.
 
-    Deterministic for a given input.  Without transforms, the columns of the
-    matrix go through `smith_reduce`, the content rounds that `homology`
-    also runs on the boundaries it builds.  With transforms, the full
-    elimination runs alone on the whole matrix; it is the oracle for the
-    rounds.
-
-    The full elimination enforces the divisor chain itself: a non-unit
-    pivot absorbs any row containing an entry it does not divide before it
-    is retired, so divisors come out already ordered by divisibility.
+    Deterministic for a given input.  The columns of the matrix go through
+    `smith_reduce`, the content rounds that `homology` also runs on the
+    boundaries it builds; a round that finds no pivot equal to ± its
+    content takes one step of the full elimination, which enforces the
+    divisor chain itself: a non-unit pivot absorbs any row containing an
+    entry it does not divide before it is retired.
     """
-    if not with_transforms:
-        divisors, _ = smith_reduce(_columns_of(matrix))
-        return SmithForm(rank=len(divisors), divisors=divisors)
-
-    elim = _Eliminator(_columns_of(matrix), (matrix.row_count, matrix.col_count))
-    pivots: list[tuple[int, int, int]] = []
-    while elim.rows:
-        pivots.append(elim.step())
-
-    # permute pivot k to position (k, k)
-    pivot_rows = [i for i, _, _ in pivots]
-    pivot_cols = [j for _, j, _ in pivots]
-    row_order = pivot_rows + sorted(set(range(matrix.row_count)) - set(pivot_rows))
-    col_order = pivot_cols + sorted(set(range(matrix.col_count)) - set(pivot_cols))
-    u_entries = {}
-    for new_i, old_i in enumerate(row_order):
-        for j, v in elim.urows[old_i].items():
-            u_entries[(new_i, j)] = v
-    v_entries = {}
-    for new_j, old_j in enumerate(col_order):
-        for i, v in elim.vcols[old_j].items():
-            v_entries[(i, new_j)] = v
-    left = SparseIntMatrix(matrix.row_count, matrix.row_count, u_entries)
-    right = SparseIntMatrix(matrix.col_count, matrix.col_count, v_entries)
-    divisors = tuple(d for _, _, d in pivots)
-    return SmithForm(rank=len(pivots), divisors=divisors, left=left, right=right)
+    divisors, _ = smith_reduce(_columns_of(matrix))
+    return SmithForm(divisors)
 
 
 def column_rank(columns: Iterable[dict[int, int]]) -> int:
@@ -542,32 +432,3 @@ def rank_mod_prime(matrix: SparseIntMatrix, p: int) -> int:
                 elif i in col:
                     del col[i]
     return len(owners)
-
-
-def determinant(matrix: SparseIntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if matrix.row_count != matrix.col_count:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.row_count
-    if n == 0:
-        return 1
-    a = matrix.to_dense()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]

@@ -14,7 +14,6 @@ from rackhom import (
     basis_recipes,
     betti,
     boundary_matrix,
-    determinant,
     dihedral_rack,
     e2_rank,
     fixed_point_square,
@@ -24,7 +23,6 @@ from rackhom import (
     homology_table,
     independence_certificate,
     kunneth_gap,
-    matmul,
     orbit_average,
     orbit_decomposition,
     permutation_rack,
@@ -35,9 +33,9 @@ from rackhom import (
     trivial_rack,
     validate_rack,
 )
-from rackhom.linalg import diagonal
 
 from corpus import finite_specs, random_chain
+from oracles import determinant, diagonal, matmul, smith_form
 
 
 def e2_total(spec: PermutationSpec, n: int) -> int:
@@ -220,15 +218,17 @@ def test_criterion_8_smith_form_on_random_matrices():
 
     for index in range(200):
         matrix = random_matrix()
-        form = smith_normal_form(matrix, with_transforms=True)
+        form = smith_normal_form(matrix)
+        divisors, left, right = smith_form(matrix)
+        assert form.divisors == divisors, index
         for a, b in zip(form.divisors, form.divisors[1:]):
             assert b % a == 0, index
-        product = matmul(matmul(form.left, matrix), form.right)
+        product = matmul(matmul(left, matrix), right)
         assert product == diagonal(
-            matrix.row_count, matrix.col_count, list(form.divisors)
+            matrix.row_count, matrix.col_count, list(divisors)
         ), index
-        assert abs(determinant(form.left)) == 1, index
-        assert abs(determinant(form.right)) == 1, index
+        assert abs(determinant(left)) == 1, index
+        assert abs(determinant(right)) == 1, index
         assert form.rank == rational_rank(matrix), index
         rperm = list(range(matrix.row_count))
         cperm = list(range(matrix.col_count))

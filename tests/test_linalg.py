@@ -1,6 +1,9 @@
-"""Exact linear algebra: Smith normal form, ranks, determinants."""
+"""Exact linear algebra: Smith normal form and ranks, checked against the
+reference elimination and helpers of `oracles`."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +13,6 @@ from rackhom.linalg import (
     SparseIntMatrix,
     _Eliminator,
     column_rank,
-    determinant,
-    diagonal,
-    matmul,
     rank_mod_prime,
     rational_rank,
     reduce_column,
@@ -20,24 +20,34 @@ from rackhom.linalg import (
     smith_reduce,
 )
 
-
-def dense(rows):
-    return SparseIntMatrix.from_dense(rows)
+from oracles import (
+    dense,
+    determinant,
+    diagonal,
+    identity,
+    matmul,
+    rows_of,
+    smith_form,
+    transpose,
+)
 
 
 def check_smith_contract(matrix: SparseIntMatrix) -> None:
-    """Every structural promise of smith_normal_form, on one input."""
-    form = smith_normal_form(matrix, with_transforms=True)
+    """Every structural promise of smith_normal_form, on one input; the
+    oracle's transforms witness its divisors."""
+    form = smith_normal_form(matrix)
+    divisors, left, right = smith_form(matrix)
+    assert form.divisors == divisors
     assert form.rank == len(form.divisors)
     assert all(d > 0 for d in form.divisors)
     for a, b in zip(form.divisors, form.divisors[1:]):
         assert b % a == 0
     assert form.rank == rational_rank(matrix)
-    product = matmul(matmul(form.left, matrix), form.right)
-    expected = diagonal(matrix.row_count, matrix.col_count, list(form.divisors))
+    product = matmul(matmul(left, matrix), right)
+    expected = diagonal(matrix.row_count, matrix.col_count, list(divisors))
     assert product.entries == expected.entries
-    assert abs(determinant(form.left)) == 1
-    assert abs(determinant(form.right)) == 1
+    assert abs(determinant(left)) == 1
+    assert abs(determinant(right)) == 1
 
 
 class TestSmithNormalForm:
@@ -47,13 +57,13 @@ class TestSmithNormalForm:
         assert form.divisors == (2, 4)
 
     def test_zero_matrix(self):
-        form = smith_normal_form(SparseIntMatrix(3, 3), with_transforms=True)
+        form = smith_normal_form(SparseIntMatrix(3, 3))
         assert form.rank == 0
         assert form.divisors == ()
-        assert form.left.entries == SparseIntMatrix.identity(3).entries
+        assert smith_form(SparseIntMatrix(3, 3))[1].entries == identity(3).entries
 
     def test_identity(self):
-        form = smith_normal_form(SparseIntMatrix.identity(3))
+        form = smith_normal_form(identity(3))
         assert form.rank == 3
         assert form.divisors == (1, 1, 1)
 
@@ -64,13 +74,14 @@ class TestSmithNormalForm:
 
     def test_empty_dimensions(self):
         for shape in [(0, 0), (0, 3), (3, 0)]:
-            form = smith_normal_form(SparseIntMatrix(*shape), with_transforms=True)
+            form = smith_normal_form(SparseIntMatrix(*shape))
             assert form.rank == 0
-            assert form.left.row_count == shape[0]
-            assert form.right.row_count == shape[1]
+            _, left, right = smith_form(SparseIntMatrix(*shape))
+            assert left.row_count == shape[0]
+            assert right.row_count == shape[1]
 
     def test_single_entry_sign_and_value(self):
-        form = smith_normal_form(dense([[-6]]), with_transforms=True)
+        form = smith_normal_form(dense([[-6]]))
         assert form.divisors == (6,)
         check_smith_contract(dense([[-6]]))
 
@@ -123,16 +134,16 @@ class TestSmithNormalForm:
             matrix = dense(rows)
             assert (
                 smith_normal_form(matrix).divisors
-                == smith_normal_form(matrix.transpose()).divisors
+                == smith_normal_form(transpose(matrix)).divisors
             )
 
     def test_deterministic(self):
         rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-        first = smith_normal_form(dense(rows), with_transforms=True)
-        second = smith_normal_form(dense(rows), with_transforms=True)
-        assert first.divisors == second.divisors
-        assert first.left.entries == second.left.entries
-        assert first.right.entries == second.right.entries
+        assert smith_normal_form(dense(rows)) == smith_normal_form(dense(rows))
+        first, second = smith_form(dense(rows)), smith_form(dense(rows))
+        assert first[0] == second[0]  # divisors
+        assert first[1].entries == second[1].entries  # left transform
+        assert first[2].entries == second[2].entries  # right transform
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,14 +158,15 @@ class TestSmithNormalForm:
 
 
 class TestUnitSweep:
-    """The default path sweeps unit pivots before the full elimination; the
-    transform path does not, so it is the oracle for (rank, divisors)."""
+    """smith_normal_form sweeps unit pivots before the full elimination; the
+    oracle's elimination (`oracles.smith_form`) has no sweep and shares no
+    code with it, so it checks (rank, divisors)."""
 
     @staticmethod
     def both_paths(matrix):
         fast = smith_normal_form(matrix)
-        slow = smith_normal_form(matrix, with_transforms=True)
-        assert (fast.rank, fast.divisors) == (slow.rank, slow.divisors)
+        divisors, _, _ = smith_form(matrix)
+        assert (fast.rank, fast.divisors) == (len(divisors), divisors)
         return fast.divisors
 
     def test_empty(self):
@@ -195,9 +207,9 @@ def _block_diagonal(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 class TestContentSweep:
-    """The default path sweeps ±c pivots, c the content of what is left, and
-    takes a full elimination step only when a round finds none; the
-    transform path is the oracle."""
+    """smith_normal_form sweeps ±c pivots, c the content of what is left,
+    and takes a full elimination step only when a round finds none; the
+    oracle's elimination checks the divisors."""
 
     both_paths = staticmethod(TestUnitSweep.both_paths)
 
@@ -335,8 +347,8 @@ class TestEliminatorSupport:
                 divisors.append(elim.step()[2])
                 self.check_index(elim)
         assert tuple(divisors) == smith_reduce(self.columns(rows))[0]
-        # as the transform path drives it: steps alone, with a shape
-        elim = _Eliminator(self.columns(rows), (len(rows), len(rows[0])))
+        # steps alone, as the full elimination runs without rounds
+        elim = _Eliminator(self.columns(rows))
         steps = []
         while elim.rows:
             steps.append(elim.step()[2])
@@ -348,9 +360,9 @@ class TestEliminatorSupport:
         # -> 6, 4, 3 (p = 3) -> 0, 1, 3 (p = 1) -> 0, 1, 0
         matrix = dense([[6, 10, 15]])
         assert smith_normal_form(matrix).divisors == (1,)
-        assert smith_normal_form(matrix, with_transforms=True).divisors == (1,)
+        assert smith_form(matrix)[0] == (1,)
         check_smith_contract(matrix)
-        elim = _Eliminator(self.columns([[6, 10, 15]]), (1, 3))
+        elim = _Eliminator(self.columns([[6, 10, 15]]))
         assert elim.step() == (0, 1, 1)
         self.check_index(elim)
         assert not elim.rows and not elim.cols
@@ -400,12 +412,47 @@ class TestFullStepChoices:
         assert self.eliminator({5: {0: 3}, 3: {1: 5}})._find_nondivisible(0, 2) == 3
 
 
+class TestOracleIndependence:
+    """The oracle shares no code with the engine, so a fault in the engine
+    shows as a disagreement instead of reaching both sides."""
+
+    def test_a_fault_in_the_full_step_is_caught(self, monkeypatch):
+        """diag(4, 6) needs the full step's search for a row its pivot 4
+        does not divide; without it the engine retires 4 and then 6.  The
+        oracle still gives the chain (2, 12).  A transform path that drove
+        the engine's own step, as smith_normal_form(with_transforms=True)
+        did before the transforms moved into `oracles`, agreed with the
+        wrong (4, 6)."""
+        matrix = dense([[4, 0], [0, 6]])
+        monkeypatch.setattr(_Eliminator, "_find_nondivisible", lambda self, pi, p: None)
+        assert smith_normal_form(matrix).divisors == (4, 6)
+        assert smith_form(matrix)[0] == (2, 12)
+
+    def test_the_oracle_imports_only_the_matrix_type(self):
+        # of rackhom, oracles.py may name SparseIntMatrix alone: no part of
+        # the engine (_Eliminator, smith_reduce, column_rank,
+        # boundary_columns) and no module to reach one through
+        tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        assert {name for name in imported if name.split(".")[0] == "rackhom"} == {
+            "rackhom.linalg.SparseIntMatrix"
+        }
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"_Eliminator", "smith_reduce", "column_rank", "boundary_columns"}
+
+
 class TestRationalRank:
     def test_zero(self):
         assert rational_rank(SparseIntMatrix(4, 2)) == 0
 
     def test_identity(self):
-        assert rational_rank(SparseIntMatrix.identity(5)) == 5
+        assert rational_rank(identity(5)) == 5
 
     def test_proportional_rows(self):
         assert rational_rank(dense([[1, 2], [2, 4]])) == 1
@@ -443,7 +490,7 @@ class TestRationalRank:
             rank = rational_rank(matrix)
             assert rank == smith_normal_form(matrix).rank
             assert rank <= len(cols) - 3
-            assert rational_rank(matrix.transpose()) == rank
+            assert rational_rank(transpose(matrix)) == rank
 
     def test_full_rank_exactly_when_determinant_nonzero(self):
         # dense 30x30 with entries near 10^12 guards coefficient growth
@@ -530,7 +577,7 @@ class TestDeterminant:
         assert determinant(dense([[1, 2], [3, 4]])) == -2
         assert determinant(dense([[2, 4], [6, 8]])) == -8
         assert determinant(dense([[0, 1], [1, 0]])) == -1
-        assert determinant(SparseIntMatrix.identity(6)) == 1
+        assert determinant(identity(6)) == 1
         assert determinant(SparseIntMatrix(3, 3)) == 0
         assert determinant(SparseIntMatrix(0, 0)) == 1
 
@@ -559,7 +606,7 @@ class TestSparseIntMatrix:
 
     def test_dense_round_trip(self):
         rows = [[0, 3], [-1, 0], [0, 0]]
-        assert dense(rows).to_dense() == rows
+        assert rows_of(dense(rows)) == rows
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -568,8 +615,8 @@ class TestSparseIntMatrix:
     def test_matmul_identity(self):
         rng = random.Random(1)
         a = dense([[rng.randint(-3, 3) for _ in range(4)] for _ in range(3)])
-        assert matmul(a, SparseIntMatrix.identity(4)).entries == a.entries
-        assert matmul(SparseIntMatrix.identity(3), a).entries == a.entries
+        assert matmul(a, identity(4)).entries == a.entries
+        assert matmul(identity(3), a).entries == a.entries
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -322,7 +322,7 @@ RECORDS = [
     (PermutationSpec, {"finite_orbit_sizes": (2, 1), "free_orbit_count": 1}),
     (OrbitDecomposition, {"orbits": ((0, 1), (2,)), "orbit_of": (0, 0, 1)}),
     (SparseIntMatrix, {"row_count": 2, "col_count": 3, "entries": {(0, 1): 5}}),
-    (SmithForm, {"rank": 1, "divisors": (5,), "left": None, "right": None}),
+    (SmithForm, {"divisors": (5,)}),
     (HomologyGroup, {"free_rank": 2, "torsion": (2, 4)}),
     (IntPolynomial, {"coefficients": (1, 2), "order": 3}),
     (EquivariantRanks, {"h0": 3, "h1": 2}),
@@ -395,7 +395,10 @@ class TestRecords:
 def test_record_defaults():
     assert PermutationSpec() == PermutationSpec((), 0)
     assert HomologyGroup(3) == HomologyGroup(3, ())
-    assert SmithForm(0, ()) == SmithForm(0, (), None, None)
+    # a SmithForm's rank is the count of its divisors, not a field of its own
+    assert SmithForm(()).rank == 0 and SmithForm((2, 6)).rank == 2
+    with pytest.raises(TypeError):
+        SmithForm(rank=5, divisors=(2,))
     assert IntPolynomial((1,)).order is None
     assert CycleRecipe(SWAP).factors == ()
     assert SparseIntMatrix(2, 2) == SparseIntMatrix(2, 2, {})

@@ -29,7 +29,7 @@ PUBLIC_NAMES = {
     " independence_certificate orbit_average",
     "homology": "HomologyGroup NotACycle homology_table is_cycle is_rational_boundary"
     " rack_homology",
-    "linalg": "SmithForm SparseIntMatrix determinant matmul rational_rank smith_normal_form",
+    "linalg": "SmithForm SparseIntMatrix rational_rank smith_normal_form",
     "racks": "EmptySpec FiniteRack InfiniteOrbits NotBijective NotPermutation"
     " NotSelfDistributive OrbitDecomposition PermutationSpec as_permutation dihedral_rack"
     " orbit_decomposition permutation_rack trivial_rack validate_rack",
