@@ -1,6 +1,5 @@
-"""The rack chain complex: monomial bases, the boundary operator, boundary
-matrices, the orbit detection map, and the constructive reduction that makes
-every chain start inside a prescribed generating set.
+"""The rack chain complex: chains, the boundary operator, boundary matrices
+and the orbit detection map.
 
 Degree n monomials are tuples of n element ids; degree 0 is the empty tuple,
 so CR_0 has rank one and d_1 = 0.  That convention pins HR_0 = Z.  Every
@@ -10,7 +9,6 @@ built: its monomials have its degree and its zero terms are dropped.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .linalg import SparseIntMatrix
@@ -18,18 +16,11 @@ from .racks import (  # DegreeTooLarge is re-exported
     DEFAULT_BASIS_CAP,
     DegreeTooLarge,
     FiniteRack,
-    NotPermutation,
-    as_permutation,
     check_basis,
     check_count,
-    orbit_decomposition,
 )
 
 Monomial = tuple[int, ...]
-
-
-class NotGenerating(ValueError):
-    """The start set misses an orbit, so the reduction cannot succeed."""
 
 
 class Chain:
@@ -157,16 +148,6 @@ def _check_degree(size: int, n: int, cap: int) -> None:
     rack |X|^n is 1 in every degree, but the work of one degree grows with n."""
     check_basis(size, range(n, n + 1), cap)
     check_count(n, cap, "degree {} exceeds")
-
-
-def enumerate_basis(
-    rack: FiniteRack, n: int, cap: int = DEFAULT_BASIS_CAP
-) -> list[Monomial]:
-    """All degree-n monomials in lexicographic order; [(())] for n = 0."""
-    if n < 0:
-        raise ValueError("negative degree")
-    _check_degree(rack.size, n, cap)
-    return list(product(range(rack.size), repeat=n))
 
 
 def boundary_of_monomial(rack: FiniteRack, w: Monomial) -> Chain:
@@ -298,51 +279,3 @@ def detection_map(c: Chain, orbit_of: Sequence[int]) -> Chain:
     """
     return c.map_monomials(lambda mono: tuple(orbit_of[v] for v in mono))
 
-
-def reduce_to_start_set(
-    rack: FiniteRack, c: Chain, start_set: Iterable[int]
-) -> tuple[Chain, Chain]:
-    """Rewrite c modulo boundaries so every monomial starts inside start_set.
-
-    Returns (reduced, witness) with reduced = c + d(witness) exactly.  Uses
-    the substitution w = φ(w) + t·d(w) + d(t·w), where t is the first element
-    of start_set on the orbit of the leading entry; the two non-boundary
-    pieces either already start in start_set or got strictly closer to it,
-    so the rewrite terminates.
-    """
-    phi = as_permutation(rack)
-    if phi is None:
-        raise NotPermutation("reduction needs a permutation rack")
-    allowed = frozenset(start_set)
-    decomposition = orbit_decomposition(phi)
-    for orbit in decomposition.orbits:
-        if allowed.isdisjoint(orbit):
-            raise NotGenerating(f"start set misses orbit {orbit}")
-    if c.degree == 0:
-        return c, Chain.zero(1)
-
-    def shift(mono: Monomial) -> Monomial:
-        return tuple(phi[v] for v in mono)
-
-    def first_hit(x: int) -> int:
-        # minimal k >= 1 with φ^k(x) in the start set
-        t = phi[x]
-        while t not in allowed:
-            t = phi[t]
-        return t
-
-    work = dict(c._coeffs)
-    done: dict[Monomial, int] = {}
-    witness: dict[Monomial, int] = {}
-    while work:
-        mono = min(work)
-        coeff = work.pop(mono)
-        if mono[0] in allowed:
-            _add_term(done, mono, coeff)
-            continue
-        t = first_hit(mono[0])
-        _add_term(work, shift(mono), coeff)
-        for sub, sub_coeff in boundary_of_monomial(rack, mono)._coeffs.items():
-            _add_term(work, (t,) + sub, coeff * sub_coeff)
-        _add_term(witness, (t,) + mono, -coeff)
-    return Chain(c.degree, done), Chain(c.degree + 1, witness)

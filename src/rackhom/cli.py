@@ -30,6 +30,7 @@ from .racks import (
     PermutationSpec,
     as_permutation,
     check_count,
+    is_int,
     orbit_decomposition,
     validate_rack,
 )
@@ -67,13 +68,8 @@ class ParseError(ValueError):
     """The input document is malformed or violates the schema."""
 
 
-def _is_int(value: Any) -> bool:
-    """JSON integers only: true and false are ints to Python."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_int_list(value: Any) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+    return isinstance(value, list) and all(map(is_int, value))
 
 
 def _check_document(doc: Any) -> dict[str, Any]:
@@ -99,7 +95,7 @@ def _check_document(doc: Any) -> dict[str, Any]:
         ):
             raise ParseError('"cycles" must be a list of nonempty integer lists')
         free = doc.get("free_orbits", 0)
-        if not _is_int(free) or free < 0:
+        if not is_int(free) or free < 0:
             raise ParseError('"free_orbits" must be a nonnegative integer')
         seen = [v for cycle in cycles for v in cycle]
         if sorted(seen) != list(range(len(seen))):

@@ -12,7 +12,7 @@ from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
-from .racks import EmptySpec, PermutationSpec, Record
+from .racks import EmptySpec, PermutationSpec, Record, is_int
 
 
 class IntPolynomial(Record):
@@ -29,14 +29,16 @@ class IntPolynomial(Record):
     order: int | None
 
     def __post_init__(self) -> None:
-        coeffs = tuple(map(int, self.coefficients))
+        coeffs = tuple(self.coefficients)
+        if not all(map(is_int, coeffs)):
+            raise ValueError("coefficients must be integers")
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
         coeffs = coeffs[:end]
         if self.order is not None:
-            if self.order < 0:
-                raise ValueError("negative truncation order")
+            if not is_int(self.order) or self.order < 0:
+                raise ValueError("the truncation order must be a nonnegative integer")
             if len(coeffs) > self.order + 1:
                 raise ValueError("more coefficients than the order allows")
         object.__setattr__(self, "coefficients", coeffs)
@@ -113,9 +115,11 @@ def rational_series(
         raise ValueError("need at least one term")
     if not denominator or denominator[0] != 1:
         raise ValueError("denominator must start with 1")
+    if not all(map(is_int, (*numerator, *denominator))):
+        raise ValueError("coefficients must be integers")
     coeffs = [0] * terms
-    coeffs[: len(numerator)] = map(int, numerator[:terms])
-    recurrence = [(k, -int(den)) for k, den in enumerate(denominator) if k and den]
+    coeffs[: len(numerator)] = numerator[:terms]
+    recurrence = [(k, -den) for k, den in enumerate(denominator) if k and den]
     for n in range(terms):
         c = coeffs[n]
         for k, factor in recurrence:

@@ -43,10 +43,6 @@ if TYPE_CHECKING:
     from .chains import Chain, IndexedChain
 
 
-class NotFixedPoint(ValueError):
-    """The element is not fixed by the rack's permutation."""
-
-
 class MixedDegrees(ValueError):
     """The chains do not all share one degree."""
 
@@ -144,14 +140,6 @@ def difference_product(
     require_permutation(rack)
     factors = tuple(DifferenceFactor(x, y) for x, y in pairs) + (TerminalFactor(terminal),)
     return CycleRecipe(rack, factors).evaluate()
-
-
-def fixed_point_square(rack: FiniteRack, t: int, c: Chain) -> Chain:
-    """t·t·c; commutes with the boundary when t is a fixed point."""
-    phi = require_permutation(rack)
-    if phi[t] != t:
-        raise NotFixedPoint(f"{t} is not fixed")
-    return c.prepend(t).prepend(t)
 
 
 def orbit_average(rack: FiniteRack, t: int, c: Chain) -> Chain:

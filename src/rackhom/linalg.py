@@ -42,7 +42,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable
 
-from .racks import Record
+from .racks import Record, is_int
 
 
 class SparseIntMatrix(Record):
@@ -63,6 +63,8 @@ class SparseIntMatrix(Record):
         if self.entries is None:
             object.__setattr__(self, "entries", {})
         for (i, j), v in self.entries.items():
+            if not (is_int(i) and is_int(j) and is_int(v)):
+                raise ValueError(f"entry ({i!r},{j!r}) = {v!r}: indices and value must be ints")
             if not (0 <= i < self.row_count and 0 <= j < self.col_count):
                 raise ValueError(f"entry ({i},{j}) out of range")
             if v == 0:
@@ -145,20 +147,16 @@ class _Eliminator:
     def find_pivot(self) -> tuple[int, int] | None:
         """The entry of least key (|value|, Markowitz fill (r-1)(c-1), i, j).
 
-        A unit of zero fill, key (1, 0, i, j), beats every key that does
-        not start (1, 0), so the scan stops at the first one it meets; of
-        several, that one need not have the least (i, j).
+        `smith_reduce` steps only after a round at content c finds no ±c
+        entry, so no entry left is a unit: the whole key is compared.
         """
-        best_key = None
-        for i, row in self.rows.items():
-            rfill = len(row) - 1
-            for j, v in row.items():
-                key = (abs(v), rfill * (len(self.cols[j]) - 1), i, j)
-                if best_key is None or key < best_key:
-                    if key[:2] == (1, 0):
-                        return i, j
-                    best_key = key
-        return None if best_key is None else best_key[2:]
+        cols = self.cols
+        best = min(
+            ((abs(v), (len(row) - 1) * (len(cols[j]) - 1), i, j)
+             for i, row in self.rows.items() for j, v in row.items()),
+            default=None,
+        )
+        return None if best is None else best[2:]
 
     def clear_column(self, pi: int, pj: int) -> None:
         """row_i -= ⌊a_i/p⌋·row_pi for every other row i holding column pj,
@@ -398,37 +396,3 @@ def rational_rank(matrix: SparseIntMatrix) -> int:
     columns = _columns_of(matrix)
     return column_rank(columns.pop(j) for j in sorted(columns))
 
-
-def rank_mod_prime(matrix: SparseIntMatrix, p: int) -> int:
-    """Rank over Z/p.  A lower bound on the rational rank; used only as a
-    fast consistency assertion, never as the answer.
-
-    A leading-entry column reduction like `rational_rank`'s, but over Z/p
-    and written out separately so that it stays independent of both other
-    rank routines: each column is reduced by its lowest nonzero row against
-    the earlier column that owns that row, scaled so that its entry there
-    is 1, until the column is zero or owns a row of its own.
-    """
-    columns: dict[int, dict[int, int]] = {}
-    for (i, j), v in matrix.entries.items():
-        w = v % p
-        if w:
-            columns.setdefault(j, {})[i] = w
-    owners: dict[int, dict[int, int]] = {}
-    for j in sorted(columns):
-        col = columns.pop(j)
-        while col:
-            low = max(col)
-            owner = owners.get(low)
-            if owner is None:
-                scale = pow(col[low], -1, p)
-                owners[low] = {i: v * scale % p for i, v in col.items()}
-                break
-            c = col[low]
-            for i, v in owner.items():
-                w = (col.get(i, 0) - c * v) % p
-                if w:
-                    col[i] = w
-                elif i in col:
-                    del col[i]
-    return len(owners)

@@ -13,6 +13,11 @@ from typing import Any, Optional, Sequence
 DEFAULT_BASIS_CAP = 10 ** 6
 
 
+def is_int(value: Any) -> bool:
+    """An int that is not a bool: true and false are ints to Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DegreeTooLarge(ValueError):
     """|X|^n exceeds the configured basis cap."""
 
@@ -36,7 +41,8 @@ def check_count(count: int, cap: int, text: str, *args: object) -> None:
 
 
 class NotBijective(ValueError):
-    """Row x of the table is not a permutation of the element set."""
+    """Row x of the table is not a permutation of the element set, or
+    holds an entry that is not an int."""
 
     def __init__(self, x: int):
         self.x = x
@@ -152,7 +158,7 @@ class FiniteRack(Record):
             raise ValueError("empty rack")
         universe = frozenset(range(n))
         for x, row in enumerate(table):
-            if len(row) != n or set(row) != universe:
+            if len(row) != n or not all(map(is_int, row)) or set(row) != universe:
                 raise NotBijective(x)
         if as_permutation(self) is not None:
             return  # a permutation rack: x▷(y▷z) = φ(φ(z)) = (x▷y)▷(x▷z)
@@ -186,12 +192,12 @@ class PermutationSpec(Record):
     free_orbit_count: int
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(d) for d in self.finite_orbit_sizes)
+        sizes = tuple(self.finite_orbit_sizes)
         object.__setattr__(self, "finite_orbit_sizes", sizes)
-        if any(d < 1 for d in sizes):
-            raise ValueError("orbit sizes must be positive")
-        if self.free_orbit_count < 0:
-            raise ValueError("free_orbit_count must be nonnegative")
+        if not all(is_int(d) and d > 0 for d in sizes):
+            raise ValueError("orbit sizes must be positive integers")
+        if not is_int(self.free_orbit_count) or self.free_orbit_count < 0:
+            raise ValueError("free_orbit_count must be a nonnegative integer")
 
     @property
     def r(self) -> int:
@@ -234,7 +240,7 @@ def validate_rack(table: Sequence[Sequence[int]]) -> FiniteRack:
         ...
     rackhom.racks.NotSelfDistributive: self-distributivity fails at (1, 0, 0)
     """
-    return FiniteRack(tuple(tuple(row) for row in table))
+    return FiniteRack(table)
 
 
 def permutation_rack(spec: PermutationSpec) -> FiniteRack:

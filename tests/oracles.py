@@ -1,18 +1,25 @@
-"""Reference linear algebra for the tests, written apart from the engine.
+"""Reference algebra for the tests, written apart from the engine.
 
 `smith_form` is a plain Smith elimination with transforms: it returns the
 elementary divisors of a matrix and unimodular U and V with
-U·A·V = diag(divisors).  It shares no code with `rackhom.linalg`'s
-eliminator, so a fault there cannot hide by reaching both sides of a
-comparison; of `rackhom` it uses only `SparseIntMatrix` as the matrix
-type.  The helpers `dense`, `rows_of`, `identity`, `transpose`,
-`diagonal`, `matmul` and `determinant` build inputs and check its
-transforms.
+U·A·V = diag(divisors).  `rank_mod_prime` is the rank over Z/p, a
+column reduction of its own.  `reduce_to_start_set` rewrites a chain of a
+permutation rack, given by its permutation φ, modulo boundaries so that
+every monomial starts in a start set, with `monomial_boundary` as its
+boundary.  None of them shares code with `rackhom`, so a fault there
+cannot hide by reaching both sides of a comparison; of `rackhom` this
+module uses only `SparseIntMatrix` as the matrix type.  The helpers
+`dense`, `rows_of`, `identity`, `transpose`, `diagonal`, `matmul` and
+`determinant` build inputs and check the transforms.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from rackhom.linalg import SparseIntMatrix
+
+Monomial = tuple[int, ...]
 
 
 def dense(rows: list[list[int]]) -> SparseIntMatrix:
@@ -178,3 +185,91 @@ def smith_form(
         (i, new): x for new, old in enumerate(col_order) for i, x in v_cols[old].items()
     })
     return tuple(p for _, _, p in pivots), left, right
+
+
+def rank_mod_prime(matrix: SparseIntMatrix, p: int) -> int:
+    """Rank over Z/p.  A lower bound on the rational rank.
+
+    A leading-entry column reduction over Z/p: each column is reduced by
+    its lowest nonzero row against the earlier column that owns that row,
+    scaled so that its entry there is 1, until the column is zero or owns
+    a row of its own.
+    """
+    columns: dict[int, dict[int, int]] = {}
+    for (i, j), v in matrix.entries.items():
+        w = v % p
+        if w:
+            columns.setdefault(j, {})[i] = w
+    owners: dict[int, dict[int, int]] = {}
+    for j in sorted(columns):
+        col = columns.pop(j)
+        while col:
+            low = max(col)
+            owner = owners.get(low)
+            if owner is None:
+                scale = pow(col[low], -1, p)
+                owners[low] = {i: v * scale % p for i, v in col.items()}
+                break
+            c = col[low]
+            for i, v in owner.items():
+                w = (col.get(i, 0) - c * v) % p
+                if w:
+                    col[i] = w
+                elif i in col:
+                    del col[i]
+    return len(owners)
+
+
+def monomial_boundary(phi: Sequence[int], w: Monomial) -> dict[Monomial, int]:
+    """d(w) on the permutation rack x ▷ y = φ(y), as {monomial: nonzero}:
+    the sum over k = 1..n-1 of (-1)^(k-1) times w without its k-th entry,
+    minus the same with every entry after the k-th moved by φ."""
+    out: dict[Monomial, int] = {}
+    for k in range(1, len(w)):
+        sign = 1 if k % 2 else -1
+        head, tail = w[: k - 1], w[k:]
+        _add(out, {head + tail: 1}, sign)
+        _add(out, {head + tuple(phi[v] for v in tail): 1}, -sign)
+    return out
+
+
+class NotGenerating(ValueError):
+    """The start set misses an orbit of φ, so no reduction exists."""
+
+
+def reduce_to_start_set(
+    phi: Sequence[int], chain: dict[Monomial, int], start_set: Iterable[int]
+) -> tuple[dict[Monomial, int], dict[Monomial, int]]:
+    """(reduced, witness) for a chain ({monomial: nonzero}, one degree) of
+    the permutation rack x ▷ y = φ(y): every monomial of reduced starts in
+    start_set, and reduced = chain + d(witness) exactly.
+
+    The least monomial w not yet starting in start_set is replaced by
+    φ(w) + t·d(w), which is w - d(t·w), where t is the first element of
+    start_set after w's first entry on its φ-orbit; -t·w joins the
+    witness.  Both new pieces start with an entry nearer to start_set, or
+    in it, so the rewrite ends.  Degree 0 monomials are left as they are.
+    """
+    allowed = frozenset(start_set)
+    for x in range(len(phi)):
+        orbit = [x]
+        while phi[orbit[-1]] != x:
+            orbit.append(phi[orbit[-1]])
+        if allowed.isdisjoint(orbit):
+            raise NotGenerating(f"start set misses the orbit of {x}: {tuple(orbit)}")
+    work = dict(chain)
+    reduced: dict[Monomial, int] = {}
+    witness: dict[Monomial, int] = {}
+    while work:
+        w = min(work)
+        coeff = work.pop(w)
+        if not w or w[0] in allowed:
+            _add(reduced, {w: 1}, coeff)
+            continue
+        t = phi[w[0]]
+        while t not in allowed:
+            t = phi[t]
+        _add(work, {tuple(phi[v] for v in w): 1}, coeff)
+        _add(work, {(t,) + sub: v for sub, v in monomial_boundary(phi, w).items()}, coeff)
+        _add(witness, {(t,) + w: 1}, -coeff)
+    return reduced, witness

@@ -44,6 +44,15 @@ class TestIntPolynomial:
         with pytest.raises(ValueError):
             IntPolynomial((1, 2, 3), order=1)
 
+    def test_rejects_coefficients_and_orders_that_are_not_ints(self):
+        # (0.5, 1.9) used to become (0, 1)
+        for coeffs in [(0.5, 1.9), (1, 2.0), ("1",), (True,)]:
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                IntPolynomial(coeffs)
+        for order in (2.0, True, -1):
+            with pytest.raises(ValueError, match="truncation order"):
+                IntPolynomial((1,), order)
+
     def test_coefficient_beyond_order_raises(self):
         series = IntPolynomial((1, 2), order=3)
         assert series.coefficient(3) == 0
@@ -103,12 +112,16 @@ class TestRationalSeries:
         poincare_series(FIB_SPEC, 6)
         assert len(calls) == 2
 
-    def test_trailing_zeros_dropped_and_inputs_made_int(self):
+    def test_trailing_zeros_dropped_and_inputs_held_to_ints(self):
         series = rational_series((1, 1), (1,), 100000)
         assert series.coefficients == (1, 1) and series.order == 99999
-        series = rational_series((True, False), (1, -True), 3)
+        series = rational_series((1, 0), (1, -1), 3)
         assert series.coefficients == (1, 1, 1)
         assert all(type(c) is int for c in series.coefficients)
+        # (0.5, 1) over (1, -1.5) used to be read as T/(1 - T)
+        for num, den in [((0.5, 1), (1, -1.5)), ((True, False), (1, -True)), ((1,), (1, "2"))]:
+            with pytest.raises(ValueError, match="coefficients must be integers"):
+                rational_series(num, den, 4)
 
 
     def test_geometric(self):
@@ -196,6 +209,11 @@ class TestE2Page:
 
 
 class TestBetti:
+    def test_spec_with_a_fractional_free_count_is_refused(self):
+        # betti(PermutationSpec((), 1.5), 3) was 0.375, its series (1, 1)
+        with pytest.raises(ValueError):
+            betti(PermutationSpec((), 1.5), 3)
+
     def test_single_orbit_all_ones(self):
         spec = PermutationSpec((1,))
         assert [betti(spec, n) for n in range(6)] == [1] * 6

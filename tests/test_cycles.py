@@ -15,7 +15,6 @@ from rackhom.cycles import (
     CycleRecipe,
     DifferenceFactor,
     MixedDegrees,
-    NotFixedPoint,
     OrbitAverageFactor,
     TerminalFactor,
     basis_recipes,
@@ -23,7 +22,6 @@ from rackhom.cycles import (
     chain_term_counts,
     cycle_basis,
     difference_product,
-    fixed_point_square,
     independence_certificate,
     orbit_average,
     recipe_factor_counts,
@@ -76,22 +74,21 @@ class TestDifferenceProduct:
 
 
 class TestFixedPointSquare:
+    """The square t·t·c at a fixed point t, which is what orbit_average
+    gives there."""
+
     def test_prepends_twice(self):
-        chain = fixed_point_square(RACK_01_2, 2, Chain(1, {(0,): 1, (1,): -1}))
+        chain = orbit_average(RACK_01_2, 2, Chain(1, {(0,): 1, (1,): -1}))
         assert chain == Chain(3, {(2, 2, 0): 1, (2, 2, 1): -1})
         assert is_cycle(RACK_01_2, chain)
 
     def test_cycle_from_degree_one(self):
-        chain = fixed_point_square(RACK_01_2, 2, Chain.monomial((0,)))
+        chain = orbit_average(RACK_01_2, 2, Chain.monomial((0,)))
         assert chain.degree == 3
         assert is_cycle(RACK_01_2, chain)
 
     def test_zero(self):
-        assert not fixed_point_square(RACK_01_2, 2, Chain.zero(2))
-
-    def test_rejects_moving_point(self):
-        with pytest.raises(NotFixedPoint):
-            fixed_point_square(RACK_01_2, 0, Chain.monomial((0,)))
+        assert not orbit_average(RACK_01_2, 2, Chain.zero(2))
 
     def test_commutes_with_boundary_on_any_chain(self):
         # d(t²·w) = t²·d(w) even when w is not a cycle
@@ -102,15 +99,17 @@ class TestFixedPointSquare:
             for t in fixed:
                 for degree in range(1, 4):
                     w = random_chain(rng, rack, degree)
-                    lhs = apply_boundary(rack, fixed_point_square(rack, t, w))
-                    rhs = fixed_point_square(rack, t, apply_boundary(rack, w))
+                    square = w.prepend(t).prepend(t)
+                    assert orbit_average(rack, t, w) == square
+                    lhs = apply_boundary(rack, square)
+                    rhs = apply_boundary(rack, w).prepend(t).prepend(t)
                     assert lhs == rhs
 
 
 class TestOrbitAverage:
     def test_fixed_point_reduces_to_square(self):
         c = Chain(1, {(0,): 1, (1,): -2})
-        assert orbit_average(RACK_01_2, 2, c) == fixed_point_square(RACK_01_2, 2, c)
+        assert orbit_average(RACK_01_2, 2, c) == c.prepend(2).prepend(2)
 
     def test_two_cycle_example(self):
         result = orbit_average(RACK_01, 0, Chain.monomial((0,)))

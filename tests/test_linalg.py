@@ -3,6 +3,7 @@ reference elimination and helpers of `oracles`."""
 
 import ast
 import random
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from rackhom.linalg import (
     SparseIntMatrix,
     _Eliminator,
     column_rank,
-    rank_mod_prime,
     rational_rank,
     reduce_column,
     smith_normal_form,
@@ -26,6 +26,7 @@ from oracles import (
     diagonal,
     identity,
     matmul,
+    rank_mod_prime,
     rows_of,
     smith_form,
     transpose,
@@ -394,12 +395,34 @@ class TestFullStepChoices:
         assert self.eliminator({1: {0: 2}, 0: {1: 2}}).find_pivot() == (0, 1)
         assert self.eliminator({0: {1: 2, 0: 2}}).find_pivot() == (0, 0)
 
-    def test_a_unit_of_zero_fill_ends_the_scan(self):
+    def test_a_unit_of_zero_fill_is_the_least_key(self):
         # the units of row 0 have fill 1, the one of row 2 none
         rows = {0: {0: 1, 1: 1}, 1: {0: 2}, 2: {1: -1}}
         assert self.eliminator(rows).find_pivot() == (2, 1)
-        # the first one scanned, not the least position
-        assert self.eliminator({1: {1: 1}, 0: {0: 1}}).find_pivot() == (1, 1)
+        # of two, the least position, not the first one scanned
+        assert self.eliminator({1: {1: 1}, 0: {0: 1}}).find_pivot() == (0, 0)
+
+    def test_no_step_meets_an_entry_equal_to_the_content(self, monkeypatch):
+        # smith_reduce steps only after a round at content c found no ±c
+        # entry, so every entry the step sees is at least 2c in absolute
+        # value: none is a unit, and find_pivot needs no shortcut for one
+        step = _Eliminator.step
+        contents = []
+
+        def checked_step(elim):
+            values = [v for row in elim.rows.values() for v in row.values()]
+            c = gcd(*values)
+            assert c not in values and -c not in values, elim.rows
+            contents.append(c)
+            return step(elim)
+
+        monkeypatch.setattr(_Eliminator, "step", checked_step)
+        rng = random.Random(29)
+        for _ in range(600):
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            values = (0, 0, 0, 1, -1, 2, -2, 3, 4, -6, 9)
+            smith_normal_form(dense([[rng.choice(values) for _ in range(n)] for _ in range(m)]))
+        assert len(contents) >= 100
 
     def test_no_entry_no_pivot(self):
         assert self.eliminator({}).find_pivot() is None
@@ -603,6 +626,11 @@ class TestSparseIntMatrix:
             SparseIntMatrix(2, 2, {(2, 0): 1})
         with pytest.raises(ValueError):
             SparseIntMatrix(2, 2, {(0, -1): 1})
+
+    def test_rejects_indices_and_values_that_are_not_ints(self):
+        for entries in ({(0.0, 1): 1}, {(0, 1.0): 1}, {(0, 1): 1.5}, {(0, 1): True}, {(0, "1"): 1}):
+            with pytest.raises(ValueError, match="indices and value must be ints"):
+                SparseIntMatrix(2, 2, entries)
 
     def test_dense_round_trip(self):
         rows = [[0, 3], [-1, 0], [0, 0]]

@@ -104,6 +104,17 @@ class TestValidateRack:
         with pytest.raises(NotBijective):
             validate_rack([[0, 2], [2, 0]])
 
+    def test_entries_that_are_not_ints(self):
+        # 1.0 and True equal 1 and hash as 1, so a set of the row matched
+        for table, x in (
+            ([[1.0, 0.0], [1.0, 0.0]], 0),
+            ([[1, 0], [True, 0]], 1),
+            ([[1, 0], [1, "0"]], 1),
+        ):
+            with pytest.raises(NotBijective) as exc:
+                validate_rack(table)
+            assert exc.value.x == x
+
 
 class TestPermutationRack:
     def test_single_fixed_point(self):
@@ -269,6 +280,16 @@ class TestPermutationSpec:
             PermutationSpec((0,))
         with pytest.raises(ValueError):
             PermutationSpec((2,), free_orbit_count=-1)
+
+    def test_rejects_sizes_and_counts_that_are_not_ints(self):
+        # each of these used to be truncated or converted: (2.7,) to (2,)
+        for sizes in [(2.7,), ("3",), (True,), (2, 1.0)]:
+            with pytest.raises(ValueError, match="orbit sizes must be positive integers"):
+                PermutationSpec(sizes)
+        for count in (1.5, 1.0, "1", True):
+            with pytest.raises(ValueError, match="free_orbit_count must be a nonnegative integer"):
+                PermutationSpec((), count)
+        assert PermutationSpec([2, 1], 1).finite_orbit_sizes == (2, 1)
 
     def test_from_rack_recovers_sizes(self):
         for sizes in [(1,), (3,), (2, 1), (2, 2), (3, 2, 1)]:

@@ -19,14 +19,13 @@ SOURCE_ROOT = str(Path(rackhom.__file__).resolve().parent.parent)
 # The package's public names, by the module each was imported from when
 # the package imported every module up front.
 PUBLIC_NAMES = {
-    "chains": "DEFAULT_BASIS_CAP Chain DegreeTooLarge NotGenerating apply_boundary"
-    " boundary_matrix boundary_of_monomial detection_map enumerate_basis reduce_to_start_set",
+    "chains": "DEFAULT_BASIS_CAP Chain DegreeTooLarge apply_boundary boundary_matrix"
+    " boundary_of_monomial detection_map",
     "closed_forms": "EquivariantRanks IntPolynomial betti e2_rank e2_row equivariant_ranks"
     " free_permutation_rack_rank free_rack_rank functional_equation_check kunneth_gap"
     " poincare_series rational_series row_polynomial structure_group_rank",
-    "cycles": "CycleRecipe DifferenceFactor MixedDegrees NotFixedPoint OrbitAverageFactor"
-    " TerminalFactor basis_recipes cycle_basis difference_product fixed_point_square"
-    " independence_certificate orbit_average",
+    "cycles": "CycleRecipe DifferenceFactor MixedDegrees OrbitAverageFactor TerminalFactor"
+    " basis_recipes cycle_basis difference_product independence_certificate orbit_average",
     "homology": "HomologyGroup NotACycle homology_table is_cycle is_rational_boundary"
     " rack_homology",
     "linalg": "SmithForm SparseIntMatrix rational_rank smith_normal_form",
